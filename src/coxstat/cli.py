@@ -2,16 +2,16 @@
 
 Subcommands: gf, moments, clt, llt, interp, verify, enumerate.  Output
 is line-oriented JSON or plain text on stdout; exit codes are 0 for
-success, 1 for a verification failure, 2 for usage errors.  Numeric
-JSON stays exact: rationals are emitted as "p/q" strings and integers
-too wide for a double (2^53 and up) as decimal strings, so consumers
-that parse through floating point cannot silently truncate anything.
+success, 1 for a verification failure, 2 for usage and runtime errors
+(one "error:" line on stderr, no traceback).  Numeric JSON stays exact:
+rationals are emitted as "p/q" strings and integers too wide for a
+double (2^53 and up) as decimal strings, so consumers that parse
+through floating point cannot silently truncate anything.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from fractions import Fraction
@@ -142,11 +142,7 @@ def _clt_table(doc, stream):
 def _cmd_clt(args, stream):
     ns = _parse_range(args.range)
     check = clt_check_inv if args.stat == "inv" else clt_check_des
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-            report = check(args.spec, ns, map_fn=pool.map)
-    else:
-        report = check(args.spec, ns)
+    report = check(args.spec, ns)
     doc = _clt_doc(args, report)
     if args.emit == "json":
         _emit(doc, stream)
@@ -251,7 +247,6 @@ def build_parser():
     p.add_argument("--stat", required=True, choices=["inv", "des"])
     p.add_argument("--range", required=True, metavar="A..B")
     p.add_argument("--emit", choices=["json", "table"], default="json")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("llt", help="local-limit sup distance")
@@ -290,7 +285,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

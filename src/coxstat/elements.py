@@ -37,6 +37,7 @@ __all__ = [
     "iter_windows",
     "window_at",
     "window_count",
+    "window_tally",
     "enumerate_elements",
     "sample_uniform",
     "parse_one_line",
@@ -318,6 +319,15 @@ def iter_windows(family, length, start=0, stop=None):
         return
     for index in range(start, stop):
         yield window_at(family, length, index)
+
+
+def window_tally(family, length, statfn):
+    """Histogram of statfn over every window: counts for 0..max value."""
+    counts = {}
+    for window in iter_windows(family, length):
+        k = statfn(SignedPermutation(window, family))
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(counts.get(k, 0) for k in range(max(counts) + 1))
 
 
 def _family_window_length(d):

@@ -4,7 +4,8 @@ A group is a CoxeterDescriptor: a canonically sorted product of labels
 from the classification A_n, B_n, D_n, E6, E7, E8, F4, H3, H4, I2(m).
 No presentation is stored; everything the closed-form layer consumes
 (degrees, order, Coxeter number, the largest edge label m_max) is read
-off per-factor tables.
+off per-factor tables.  The Coxeter diagram itself is written down once,
+in coxeter_edges, which the reflection realizations in rootsys read.
 
 >>> d = parse_descriptor("A1^3 x I2(5)")
 >>> rank(d), group_order(d)
@@ -32,6 +33,7 @@ __all__ = [
     "coxeter_number",
     "positive_root_count",
     "m_max",
+    "coxeter_edges",
 ]
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
@@ -254,17 +256,51 @@ def positive_root_count(d):
     return sum(v - 1 for v in degrees(d))
 
 
+# The edges drawn with a label, keyed by their index along the diagram's
+# chain (negative indices count from its end); every other edge is
+# labelled 3.  I2(m) carries its m on its one edge.
+_LABELLED_EDGES = {"B": {-1: 4}, "F": {1: 4}, "H": {0: 5}}
+
+
+def _labelled_edges(label):
+    if label.family == "I2":
+        return {0: label.m}
+    return _LABELLED_EDGES.get(label.family, {})
+
+
+def coxeter_edges(label):
+    """Coxeter-diagram edges (a, b, m) of one factor, over simple positions.
+
+    Pairs not listed commute (m = 2).  The positions and the orientation
+    of each edge are those of the reflection realization in rootsys: on
+    a crystallographic double bond (m = 4), b is the short root.  The
+    diagram is a chain through positions 0, 1, ..., n-1, with two
+    exceptions: E6-E8 run the chain through 0, 2, 3, ... and hang
+    position 1 off position 3; D_n ends the chain at n-2 and hangs n-1
+    off n-3.
+
+    >>> coxeter_edges(irreducible("B", 3))
+    [(0, 1, 3), (1, 2, 4)]
+    """
+    f, n = label.family, label.rank
+    if f == "E":
+        chain, branch = [0, 2, 3, 4, 5, 6, 7][: n - 1], [(1, 3, 3)]
+    elif f == "D":
+        chain, branch = range(n - 1), [(n - 3, n - 1, 3)]
+    else:
+        chain, branch = range(n), []
+    edges = [(a, b, 3) for a, b in zip(chain, chain[1:])]
+    for i, m in _labelled_edges(label).items():
+        edges[i] = edges[i][:2] + (m,)
+    return edges + branch
+
+
 def factor_m_max(label):
-    """Largest Coxeter-diagram edge label within one factor of rank >= 2."""
-    f = label.family
-    if f == "I2":
-        return label.m
-    if f in ("B", "F"):
-        return 4
-    if f == "H":
-        return 5
-    # A (rank >= 2), D, E
-    return 3
+    """Largest Coxeter-diagram edge label within one factor of rank >= 2.
+
+    Read off the labelled edges alone, so it costs the same at any rank.
+    """
+    return max([3, *_labelled_edges(label).values()])
 
 
 def m_max(d):

@@ -25,7 +25,6 @@ and the numeric trend is reported alongside.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -487,7 +486,7 @@ def _inv_row(spec, n):
     if r < 1:
         raise ValueError(f"trivial group at n = {n}")
     _, var = mahonian_moments(d)
-    return (n, r, max(degrees(d)), var, m_max(d) if r >= 2 else None)
+    return r, max(degrees(d)), var, m_max(d) if r >= 2 else None
 
 
 def _des_row(spec, n):
@@ -498,17 +497,16 @@ def _des_row(spec, n):
     _, var = eulerian_moments(d)
     psum = sum(Fraction(1, m) for m in spec.dihedral_parameters(n))
     nd = sum(f.rank for f in d.factors if f.family != "I2")
-    return (n, r, var, psum, nd)
+    return r, var, psum, nd
 
 
-def clt_check_inv(spec, n_range, map_fn=map):
+def clt_check_inv(spec, n_range):
     """Normal-limit diagnostic for inversions: does d_n / s_n vanish?
 
     d_n is the largest degree and s_n the standard deviation; the
     companion ratio m_n / s_n (largest edge label over sigma) is
     reported alongside.  clt_holds True needs verdict tends_to_zero.
-    map_fn lets callers run the per-n sweep on an executor; row order
-    is by n either way.
+    Rows come out in increasing n whatever the order of n_range.
     """
     spec = _spec_of(spec)
     ns = _range_list(n_range)
@@ -516,7 +514,8 @@ def clt_check_inv(spec, n_range, map_fn=map):
     ratio_samples = []
     m_samples = []
     ranks = []
-    for n, r, dn, var, mm in map_fn(functools.partial(_inv_row, spec), ns):
+    for n in ns:
+        r, dn, var, mm = _inv_row(spec, n)
         s = math.sqrt(float(var))
         ratio_samples.append((n, dn / s))
         if mm is not None:
@@ -556,13 +555,13 @@ def clt_check_inv(spec, n_range, map_fn=map):
     )
 
 
-def clt_check_des(spec, n_range, map_fn=map):
+def clt_check_des(spec, n_range):
     """Normal-limit diagnostic for descents: does the variance diverge?
 
     Reports the s_n trend plus the two sufficient conditions it can
     detect: the non-dihedral part's rank growing without bound, and the
     divergence of the sum of 1/m over dihedral factors (computed on raw
-    pre-normalization edge labels).  map_fn as in clt_check_inv.
+    pre-normalization edge labels).
     """
     spec = _spec_of(spec)
     ns = _range_list(n_range)
@@ -570,7 +569,8 @@ def clt_check_des(spec, n_range, map_fn=map):
     s_samples = []
     sums = []
     nd_ranks = []
-    for n, r, var, psum, nd in map_fn(functools.partial(_des_row, spec), ns):
+    for n in ns:
+        r, var, psum, nd = _des_row(spec, n)
         s_samples.append((n, math.sqrt(float(var))))
         sums.append((n, float(psum)))
         nd_ranks.append((n, nd))
@@ -621,7 +621,7 @@ def clt_check_des(spec, n_range, map_fn=map):
     holds = {"tends_to_infinity": True, "inconclusive": None}.get(trend.verdict, False)
     # consistency: a detected sufficient condition must mean divergence
     if (a1 or (b_known and b)) and holds is False:
-        raise AssertionError(
+        raise RuntimeError(
             "inconsistent diagnostics: a sufficient divergence condition "
             "was detected but the variance trend says bounded"
         )
@@ -736,6 +736,6 @@ def llt_sup_distance(f):
     kmax = len(coeffs) - 1
     worst = 0.0
     for j in range(kmin - 1, kmax + 2):
-        c = s * coeffs[j] / total if 0 <= j < len(coeffs) else 0.0
+        c = s * (coeffs[j] / total) if 0 <= j < len(coeffs) else 0.0
         worst = max(worst, abs(c - phi((j - mu) / s)))
     return LltReport(distance=worst, degenerate=False)

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .elements import des_count, window_tally
 from .groups import as_descriptor, irreducible_degrees
 from .rootsys import DEFAULT_ENUM_CAP, build_root_system, cached_tally
 
@@ -173,28 +174,19 @@ def _validate_descent_fast_paths():
     """
     if "des" in _VALIDATED:
         return
-    from . import elements
-
-    def window_tally(family, length):
-        counts = {}
-        for w in elements.iter_windows(family, length):
-            k = elements.des_count(elements.SignedPermutation(w, family))
-            counts[k] = counts.get(k, 0) + 1
-        return [counts.get(i, 0) for i in range(max(counts) + 1)]
-
     rows_a = _descent_rows_a(7)
     for rank_a in range(1, 7):
-        if rows_a[rank_a + 1] != window_tally("A", rank_a + 1):
+        if tuple(rows_a[rank_a + 1]) != window_tally("A", rank_a + 1, des_count):
             raise RecurrenceValidationError(
                 f"type A descent recurrence disagrees with enumeration at rank {rank_a}"
             )
     for n in range(2, 7):
-        if _descent_row_b(n) != window_tally("B", n):
+        if tuple(_descent_row_b(n)) != window_tally("B", n, des_count):
             raise RecurrenceValidationError(
                 f"type B descent recurrence disagrees with enumeration at rank {n}"
             )
     for n in (4, 5, 6):
-        if _descent_row_d(n) != window_tally("D", n):
+        if tuple(_descent_row_d(n)) != window_tally("D", n, des_count):
             raise RecurrenceValidationError(
                 f"type D descent relation disagrees with enumeration at rank {n}"
             )

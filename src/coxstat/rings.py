@@ -1,11 +1,11 @@
-"""Exact coefficient rings for reflection arithmetic.
+"""Exact cosine-ring arithmetic for non-crystallographic reflections.
 
-Crystallographic root systems live over the plain integers.  H3 and H4
-need Z[phi] with phi^2 = phi + 1 (GoldenInt).  I2(m) needs the ring of
-integers generated by 2*cos(pi/m), represented as Z[x] modulo the
-minimal polynomial of 2*cos(2*pi/N) with N = 2m (CycloInt).  All three
-support mixed arithmetic with Python ints, which keeps the closure code
-ring-agnostic.
+Crystallographic root systems live over the plain integers.  H3, H4 and
+I2(m) need the ring of integers generated by 2*cos(pi/m) for their
+largest edge label m, represented as Z[x] modulo the minimal polynomial
+of 2*cos(2*pi/N) with N = 2m (CycloInt); for H3 and H4, m = 5 and the
+generator is the golden ratio.  CycloInt supports mixed arithmetic with
+Python ints, which keeps the closure code ring-agnostic.
 """
 
 from __future__ import annotations
@@ -14,69 +14,11 @@ from dataclasses import dataclass
 from math import comb
 
 __all__ = [
-    "GoldenInt",
     "CycloInt",
     "cyclotomic_polynomial",
     "minimal_polynomial_2cos",
     "cos_ring_generator",
 ]
-
-
-@dataclass(frozen=True)
-class GoldenInt:
-    """a + b*phi with integer a, b and phi^2 = phi + 1."""
-
-    a: int = 0
-    b: int = 0
-
-    def _coerce(self, other):
-        if isinstance(other, GoldenInt):
-            return other
-        if isinstance(other, int):
-            return GoldenInt(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenInt(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenInt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return GoldenInt(-self.a, -self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
-        a, b, c, d = self.a, self.b, o.a, o.b
-        return GoldenInt(a * c + b * d, a * d + b * c + b * d)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __float__(self):
-        return self.a + self.b * (1 + 5 ** 0.5) / 2
-
-    def __repr__(self):
-        return f"GoldenInt({self.a}, {self.b})"
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A RootSystem stores the positive roots of one irreducible factor in
 simple-root coordinates, plus the action of each simple reflection as a
-permutation of positive-root indices.  Crystallographic factors use the
-integer Cartan matrix; H3/H4 use Z[phi]; I2(m) uses the exact cosine
-ring, so coordinates never touch floating point.
+permutation of positive-root indices.  The reflections are read off the
+Coxeter diagram in groups.coxeter_edges.  Crystallographic factors use
+the integer Cartan matrix; H3, H4 and I2(m) use the exact cosine ring of
+their largest edge label, so coordinates never touch floating point.
 
 Elements are represented by signed action vectors: act[i] = +-(j+1)
 means w(beta_i) = +-beta_j over the positive roots beta_0..beta_{N-1}.
@@ -31,12 +32,13 @@ import numpy as np
 
 from .groups import (
     IrreducibleLabel,
-    coxeter_number,
+    coxeter_edges,
     descriptor,
+    factor_m_max,
     group_order,
     irreducible_degrees,
 )
-from .rings import GoldenInt, cos_ring_generator
+from .rings import cos_ring_generator
 
 __all__ = [
     "RootSystem",
@@ -81,66 +83,36 @@ class ElementRecord:
 
 
 # ---------------------------------------------------------------------------
-# reflection rows per family
+# reflection rows from the Coxeter diagram
 
-def _crystallographic_rows(label):
-    """Cartan matrix rows: row[s][j] multiplies coordinate j in s's update."""
-    f, n = label.family, label.rank
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
-    if f == "A":
-        edges = [(i, i + 1, 3) for i in range(n - 1)]
-    elif f == "B":
-        edges = [(i, i + 1, 3) for i in range(n - 2)] + [(n - 2, n - 1, 4)]
-    elif f == "D":
-        edges = [(i, i + 1, 3) for i in range(n - 3)]
-        edges += [(n - 3, n - 2, 3), (n - 3, n - 1, 3)]
-    elif f == "E":
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        edges = [(a, b, 3) for a, b in zip(chain, chain[1:])]
-        edges.append((1, 3, 3))
-    else:  # F4
-        edges = [(0, 1, 3), (1, 2, 4), (2, 3, 3)]
-    for a, b, m in edges:
-        if m == 3:
-            rows[a][b] = rows[b][a] = -1
+def _reflection_rows(label):
+    """Rows of the geometric representation (Humphreys, Reflection Groups
+    and Coxeter Groups, 5.3) scaled by 2: row[s][j] multiplies coordinate
+    j in s's update, and an edge labelled m contributes -2cos(pi/m).
+
+    A/B/D/E/F use the integer Cartan matrix.  H and I2 use the cosine
+    ring of their largest label, whose generator is 2cos(pi/m_max); the
+    only other label they carry is 3, where -2cos(pi/3) = -1.
+    """
+    n = label.rank
+    if label.family in ("H", "I2"):
+        top = factor_m_max(label)
+        gen, one = cos_ring_generator(top)
+    else:
+        top, one = None, 1
+    zero = one - one
+    rows = [[one + one if i == j else zero for j in range(n)] for i in range(n)]
+    for a, b, m in coxeter_edges(label):
+        if m == top:
+            rows[a][b] = rows[b][a] = -gen
+        elif m == 3:
+            rows[a][b] = rows[b][a] = -one
         else:
             # double bond: b is the short root in this orientation; the
             # statistics computed here do not depend on which end is short
             rows[a][b] = -1
             rows[b][a] = -2
-    return rows, 1, 0
-
-
-def _golden_rows(label):
-    n = label.rank
-    two, one, zero = GoldenInt(2, 0), GoldenInt(1, 0), GoldenInt(0, 0)
-    phi = GoldenInt(0, 1)
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = two
-    labels = [5] + [3] * (n - 2)
-    for i, m in enumerate(labels):
-        entry = -phi if m == 5 else -one
-        rows[i][i + 1] = rows[i + 1][i] = entry
     return rows, one, zero
-
-
-def _dihedral_rows(m):
-    gen, one = cos_ring_generator(m)
-    zero = one - one
-    two = one + one
-    rows = [[two, -gen], [-gen, two]]
-    return rows, one, zero
-
-
-def _reflection_rows(label):
-    if label.family == "H":
-        return _golden_rows(label)
-    if label.family == "I2":
-        return _dihedral_rows(label.m)
-    return _crystallographic_rows(label)
 
 
 def build_root_system(label):

@@ -31,6 +31,7 @@ from .elements import (
     inv_count,
     iter_windows,
     st_count,
+    window_tally,
 )
 from .groups import group_order, parse_descriptor, rank
 from .interplab import builtin_dataset, ingest, lagrange_guess, summarize
@@ -79,15 +80,6 @@ def _close(name, got, want, tol):
     return (name, err <= tol, f"got {got!r}, want {want!r} within {tol}")
 
 
-def _window_tally(family, length, statfn):
-    counts = {}
-    for window in iter_windows(family, length):
-        p = SignedPermutation(window, family)
-        k = statfn(p)
-        counts[k] = counts.get(k, 0) + 1
-    return tuple(counts.get(k, 0) for k in range(max(counts) + 1))
-
-
 _WINDOW_CASES = [("A4", "A", 5), ("B3", "B", 3), ("D4", "D", 4)]
 
 
@@ -97,7 +89,7 @@ _WINDOW_CASES = [("A4", "A", 5), ("B3", "B", 3), ("D4", "D", 4)]
 def _suite_gf_inv(rng):
     for text, family, length in _WINDOW_CASES:
         got = gf_inv(parse_descriptor(text)).coefficients
-        want = _window_tally(family, length, inv_count)
+        want = window_tally(family, length, inv_count)
         yield _eq(f"gf-inv: {text} matches the window tally", got, want)
     for text in ["H3", "F4"]:
         d = parse_descriptor(text)
@@ -128,7 +120,7 @@ def _suite_gf_des(rng):
         yield (f"gf-des: {text} sums to the group order and is palindromic",
                ok, repr(f.coefficients))
     got = gf_des_plus_ides(parse_descriptor("A3")).coefficients
-    want = _window_tally("A", 4, lambda p: des_count(p) + ides_count(p))
+    want = window_tally("A", 4, lambda p: des_count(p) + ides_count(p))
     yield _eq("gf-des: A3 des+ides matches the window tally", got, want)
 
 
@@ -339,7 +331,7 @@ def _suite_interp(rng):
 def _suite_quick(rng):
     got = gf_inv(parse_descriptor("A3")).coefficients
     yield _eq("quick: gf-inv A3 matches the window tally",
-              got, _window_tally("A", 4, inv_count))
+              got, window_tally("A", 4, inv_count))
     d = parse_descriptor("B3")
     got = gf_des(d).coefficients
     yield _eq("quick: gf-des B3 matches the reflection walk",

@@ -1,12 +1,15 @@
 import json
 import math
+import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 import oracles
 from coxstat.cli import main
 from coxstat.groups import parse_descriptor
-from coxstat.limits import llt_sup_distance
+from coxstat.limits import clt_check_des, clt_check_inv, llt_sup_distance
 from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
 
 
@@ -118,17 +121,23 @@ def test_clt_json_fields(capsys):
     assert 0 < row["ratio"] < 2
 
 
-def test_clt_threads_and_order_invariance(capsys):
-    args = ["clt", "--spec", "prod(I2(i), i=1..n)", "--stat", "des",
-            "--range", "10..30"]
-    rc, serial, _ = run(capsys, *args)
+def test_clt_order_invariance(capsys):
+    spec = "prod(I2(i), i=1..n)"
+    rc, out, _ = run(capsys, "clt", "--spec", spec, "--stat", "des",
+                     "--range", "10..30")
     assert rc == 0
-    rc, threaded, _ = run(capsys, *args, "--threads", "4")
-    assert rc == 0
-    assert serial == threaded
-    doc = json.loads(serial)
+    doc = json.loads(out)
     assert doc["clt_holds"] is True
     assert doc["conditions"]["dihedral_divergence"] is True
+    assert [row["n"] for row in doc["per_n"]] == list(range(10, 31))
+    # the report depends on the set of n, not on the order it is given in
+    ns = list(range(10, 31))
+    shuffled = ns[:]
+    random.Random(7).shuffle(shuffled)
+    for check in (clt_check_des, clt_check_inv):
+        want = check(spec, ns)
+        assert check(spec, ns[::-1]) == want
+        assert check(spec, shuffled) == want
 
 
 def test_clt_table_output(capsys):
@@ -163,6 +172,41 @@ def test_llt_reports_distance(capsys):
     want = llt_sup_distance(gf_des(parse_descriptor("B4")))
     assert doc["distance"] == pytest.approx(want.distance)
     assert doc["degenerate"] is False
+
+
+def test_llt_past_the_double_range(capsys):
+    # |A170| = 171! exceeds the largest double, so the point probabilities
+    # must be divided exactly before they are scaled
+    rc, out, err = run(capsys, "llt", "--group", "A170", "--stat", "des")
+    assert rc == 0, err
+    coeffs = gf_des(parse_descriptor("A170")).coefficients
+    total = sum(coeffs)
+    assert total > sys.float_info.max
+    # exact point probabilities on k = -1 .. 171, the support plus one
+    # empty lattice point at each end
+    probs = [Fraction(0)] + [Fraction(c, total) for c in coeffs] + [Fraction(0)]
+    mean = sum(k * p for k, p in enumerate(probs, -1))
+    s = math.sqrt(sum((k - mean) ** 2 * p for k, p in enumerate(probs, -1)))
+    want = max(abs(s * float(p) - math.exp(-float((k - mean) / s) ** 2 / 2)
+                   / math.sqrt(2 * math.pi))
+               for k, p in enumerate(probs, -1))
+    doc = json.loads(out)
+    assert math.isfinite(doc["distance"])
+    assert doc["distance"] == pytest.approx(want, rel=1e-12)
+
+
+def test_arithmetic_error_is_runtime_exit(capsys, monkeypatch):
+    import coxstat.cli as cli
+
+    def overflow(f):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(cli, "llt_sup_distance", overflow)
+    rc, out, err = run(capsys, "llt", "--group", "B4", "--stat", "des")
+    assert rc == 2
+    assert out == ""
+    assert "error: int too large" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

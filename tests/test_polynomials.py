@@ -130,6 +130,17 @@ def test_gf_des_beyond_validation_matches_reflection_walk():
         assert got == want, text
 
 
+def test_gf_des_validation_rejects_a_wrong_recurrence(monkeypatch):
+    import coxstat.polynomials as polynomials
+
+    right_row_b = polynomials._descent_row_b
+    monkeypatch.setattr(polynomials, "_VALIDATED", set())
+    monkeypatch.setattr(polynomials, "_descent_row_b",
+                        lambda n: [c + (k == 1) for k, c in enumerate(right_row_b(n))])
+    with pytest.raises(polynomials.RecurrenceValidationError, match="type B"):
+        gf_des(parse_descriptor("A2"))
+
+
 def test_gf_des_exceptional_and_shape():
     e6 = gf_des(parse_descriptor("E6"))
     assert e6.coefficients == (1, 1272, 12183, 24928, 12183, 1272, 1)

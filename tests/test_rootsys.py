@@ -3,9 +3,14 @@ import math
 import pytest
 
 import oracles
-from coxstat.groups import descriptor, group_order, irreducible, positive_root_count
+from coxstat.groups import (
+    coxeter_edges,
+    descriptor,
+    group_order,
+    irreducible,
+    positive_root_count,
+)
 from coxstat.rings import (
-    GoldenInt,
     cos_ring_generator,
     cyclotomic_polynomial,
     minimal_polynomial_2cos,
@@ -27,14 +32,6 @@ from coxstat.rootsys import (
 
 # ---------------------------------------------------------------------------
 # rings
-
-def test_golden_arithmetic():
-    phi = GoldenInt(0, 1)
-    assert phi * phi == GoldenInt(1, 1)          # phi^2 = phi + 1
-    assert phi * phi - phi - 1 == GoldenInt(0, 0)
-    assert (2 - phi) * phi == 2 * phi - GoldenInt(1, 1)
-    assert abs(float(phi) - (1 + 5 ** 0.5) / 2) < 1e-12
-
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
@@ -89,6 +86,22 @@ def test_closure_counts_match_degree_formula():
         for s in range(rs.rank):
             coords = rs.positive_roots[s]
             assert sum(1 for c in coords if c) == 1
+
+
+def test_simple_pair_orders_match_coxeter_edges():
+    # the realization must be the diagram: s_a s_b has order m on an edge
+    # labelled m, and order 2 when a and b are not joined
+    for lab in ALL_SMALL_LABELS:
+        rs = build_root_system(lab)
+        labels = {frozenset((a, b)): m for a, b, m in coxeter_edges(lab)}
+        identity = identity_action(rs)
+        for a in range(rs.rank):
+            for b in range(a + 1, rs.rank):
+                step = compose_actions(simple_action(rs, a), simple_action(rs, b))
+                w, order = step, 1
+                while w != identity:
+                    w, order = compose_actions(w, step), order + 1
+                assert order == labels.get(frozenset((a, b)), 2), (lab, a, b)
 
 
 def test_action_rows_are_permutations_fixing_s():
