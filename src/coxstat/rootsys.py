@@ -16,15 +16,19 @@ the vector, since Inv(w^-1) = -w(Inv(w)).  Extending w by a simple
 reflection s is a single gather: act_ws[i] = act_w[perm_s[i]] for
 i != s, and act_ws[s] = -act_w[s].
 
-The breadth-first walk over the weak order visits each element once per
-length level, deduplicating by packed inversion bitsets; levels arrive
-sorted by that bitset, so runs are deterministic and mergeable.
+The breadth-first walk over the right weak order generates each element
+exactly once, from its canonical parent u*s with s = min D_R(u), so no
+level is deduplicated and rows within a level come in generation order.
+Tallies read those levels as they are; only the two enumerators that
+promise (length, inversion set) order sort each level, by its packed
+inversion bitsets.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,46 +197,62 @@ def _check_cap(label, cap):
 
 
 def _bfs_levels(rs, cap):
-    """Yield (length, acts, keys) per level, rows sorted by inversion key."""
+    """Yield (length, acts) per level of the right weak order, each element once.
+
+    Canonical generation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    ch. 3): every u != e has the one parent u*s with s = min D_R(u), so w
+    is extended by s only when s is an ascent of w and no t < s is a right
+    descent of w*s.  Since act_ws[t] = act_w[perm_s[t]], the second test
+    reads act_w alone.  Rows within a level come in generation order.
+    """
     order = _check_cap(rs.label, cap)
     n = rs.rank
     N = rs.root_count
     dtype = np.int8 if N <= 126 else np.int16
-    perms = [np.asarray(row, dtype=np.int64) for row in rs.action]
+    perms = [np.asarray(row, dtype=np.intp) for row in rs.action]
+    # the positions that must be positive for w to extend by s: s, and
+    # perm_s[t] for t < s.  They are simple roots and their images under
+    # one reflection, which the closure numbers first, so the sign test
+    # reads a narrow slice of each level.
+    guards = [np.concatenate(([s], perms[s][:s])) for s in range(n)]
+    head = 1 + max(int(cols.max()) for cols in guards)
     acts = np.arange(1, N + 1, dtype=dtype).reshape(1, N)
     length = 0
     total = 0
-    while True:
-        keys = _inversion_keys(acts)
+    while len(acts):
         total += len(acts)
-        yield length, acts, keys
+        yield length, acts
+        pos = acts[:, :head] > 0
         chunks = []
         for s in range(n):
-            mask = acts[:, s] > 0
-            if not mask.any():
-                continue
-            sub = acts[mask][:, perms[s]]
+            mask = pos[:, guards[s]].all(axis=1)
+            sub = acts[mask].take(perms[s], axis=1)
             sub[:, s] = -sub[:, s]
             chunks.append(sub)
-        if not chunks:
-            break
-        new = np.concatenate(chunks, axis=0)
-        new_keys = _inversion_keys(new)
-        if new_keys.shape[1] == 1:
-            _, first = np.unique(new_keys[:, 0], return_index=True)
-        else:
-            _, first = np.unique(new_keys, axis=0, return_index=True)
-        acts = new[first]
+        acts = np.concatenate(chunks, axis=0)
         length += 1
     if total != order:
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
 
 
+def _sorted_levels(rs, cap):
+    """Yield (length, acts, keys) per level, rows in inversion-set order.
+
+    lexsort's last key is its primary one, so the rows of keys.T run from
+    the lowest word to the highest and the bitsets compare as integers.
+    """
+    for length, acts in _bfs_levels(rs, cap):
+        keys = _inversion_keys(acts)
+        by_set = np.lexsort(keys.T)
+        yield length, acts[by_set], keys[by_set]
+
+
 def enumerate_inversion_sets(rs, cap=DEFAULT_ENUM_CAP):
-    """ElementRecords in (length, inversion set) order."""
+    """ElementRecords in (length, inversion set) order; each level is sorted
+    by its packed inversion bitsets."""
     n = rs.rank
     simple_mask = (1 << n) - 1
-    for length, acts, keys in _bfs_levels(rs, cap):
+    for length, acts, keys in _sorted_levels(rs, cap):
         left = np.zeros(len(acts), dtype=np.int64)
         for j in range(n):
             left |= (acts == -(j + 1)).any(axis=1).astype(np.int64) << j
@@ -257,12 +277,12 @@ def statistics_tally(rs, statistic, cap=DEFAULT_ENUM_CAP):
     N = rs.root_count
     if statistic == "inv":
         counts = [0] * (N + 1)
-        for length, acts, _ in _bfs_levels(rs, cap):
+        for length, acts in _bfs_levels(rs, cap):
             counts[length] = int(len(acts))
         return tuple(counts)
     size = n + 1 if statistic == "des" else 2 * n + 1
     counts = np.zeros(size, dtype=np.int64)
-    for _, acts, _ in _bfs_levels(rs, cap):
+    for _, acts in _bfs_levels(rs, cap):
         neg = acts < 0
         vals = neg[:, :n].sum(axis=1)
         if statistic == "des_plus_ides":
@@ -323,8 +343,30 @@ def read_tally_file(path):
     return tuple(out)
 
 
+def _tally_defect(label, statistic, counts):
+    """Why counts cannot be the tally of statistic over label, or None."""
+    degree = {
+        "inv": sum(d - 1 for d in irreducible_degrees(label)),
+        "des": label.rank,
+        "des_plus_ides": 2 * label.rank,
+    }[statistic]
+    if len(counts) != degree + 1:
+        return f"{len(counts)} coefficients, expected {degree + 1}"
+    order = group_order(label)
+    if sum(counts) != order:
+        return f"coefficients sum to {sum(counts)}, expected |W| = {order}"
+    if counts != counts[::-1]:
+        return "coefficients are not palindromic"
+    return None
+
+
 def cached_tally(label, statistic, cap=DEFAULT_ENUM_CAP, cache_dir=None):
-    """statistics_tally with a process-level and optional disk cache."""
+    """statistics_tally with a process-level and optional disk cache.
+
+    A disk file that does not parse, or whose length, sum or symmetry
+    cannot belong to the tally, is rebuilt and overwritten with a
+    RuntimeWarning.
+    """
     key = (label, statistic)
     hit = _MEMORY_TALLIES.get(key)
     if hit is not None:
@@ -333,9 +375,20 @@ def cached_tally(label, statistic, cap=DEFAULT_ENUM_CAP, cache_dir=None):
     if dirp is not None:
         path = _tally_path(dirp, label, statistic)
         if path.exists():
-            counts = read_tally_file(path)
-            _MEMORY_TALLIES[key] = counts
-            return counts
+            try:
+                counts = read_tally_file(path)
+            except (struct.error, ValueError) as exc:
+                defect = f"unreadable ({exc})"
+            else:
+                defect = _tally_defect(label, statistic, counts)
+            if defect is None:
+                _MEMORY_TALLIES[key] = counts
+                return counts
+            # a "<...>" filename has no source line, so the warning prints
+            # as one line
+            warnings.warn_explicit(
+                f"rebuilding tally file {path}: {defect}", RuntimeWarning,
+                "<coxstat tally cache>", 0, module=__name__)
     counts = statistics_tally(build_root_system(label), statistic, cap=cap)
     _MEMORY_TALLIES[key] = counts
     if dirp is not None:
@@ -365,7 +418,7 @@ def compose_actions(u, v):
 
 
 def element_actions(rs, cap=DEFAULT_ENUM_CAP):
-    """All action vectors, deterministic (length, inversion set) order."""
-    for _, acts, _ in _bfs_levels(rs, cap):
+    """All action vectors, in (length, inversion set) order."""
+    for _, acts, _ in _sorted_levels(rs, cap):
         for row in acts:
             yield tuple(int(x) for x in row)

@@ -1,16 +1,21 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
+import coxstat
 from coxstat.cli import main
 from coxstat.groups import parse_descriptor
 from coxstat.limits import clt_check_des, clt_check_inv, llt_sup_distance
 from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
+from coxstat.rootsys import write_tally_file
 
 
 def run(capsys, *argv):
@@ -55,6 +60,29 @@ def test_gf_emit_poly_round_trips(capsys, tmp_path):
     f = ExactPolynomial.from_json(path.read_text())
     assert f == gf_des(parse_descriptor("F4"))
     assert json.loads(out) == list(f.coefficients)
+
+
+@pytest.mark.parametrize("corrupt", ["wrong tally", "truncated"])
+def test_gf_rebuilds_corrupt_tally_file(tmp_path, corrupt):
+    # a separate process, so the warning reaches stderr as the user sees it
+    env = dict(os.environ, COXSTAT_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(coxstat.__file__).parents[1]), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "coxstat.cli", "gf", "--group", "H3", "--stat", "des"]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert first.stdout.strip() == "[1,59,59,1]" and first.stderr == ""
+    path = tmp_path / "tallies" / "H3.des.tally"
+    good = path.read_bytes()
+    if corrupt == "wrong tally":
+        write_tally_file(path, (1, 2, 3))
+    else:
+        path.write_bytes(good[:7])
+    again = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert again.returncode == 0
+    assert again.stdout == first.stdout
+    lines = again.stderr.splitlines()
+    assert len(lines) == 1 and "RuntimeWarning" in lines[0], again.stderr
+    assert path.read_bytes() == good
 
 
 def test_gf_empty_group_is_usage_error(capsys):

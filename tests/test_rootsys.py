@@ -8,8 +8,11 @@ from coxstat.groups import (
     descriptor,
     group_order,
     irreducible,
+    parse_descriptor,
     positive_root_count,
 )
+from coxstat.moments import double_eulerian_moments
+from coxstat.polynomials import gf_inv
 from coxstat.rings import (
     cos_ring_generator,
     cyclotomic_polynomial,
@@ -219,6 +222,33 @@ def test_two_sided_tallies_match_windows():
         assert list(got) == want
 
 
+def test_walk_inv_tallies_match_degree_product():
+    # every level size, not just the total, against the product of [d]_q
+    for text in ["A7", "B6", "D6", "H4"]:
+        d = parse_descriptor(text)
+        got = statistics_tally(build_root_system(d.factors[0]), "inv")
+        assert got == gf_inv(d).coefficients, text
+
+
+def test_walk_des_plus_ides_tallies_against_closed_forms():
+    for text in ["H4", "B6"]:
+        d = parse_descriptor(text)
+        counts = statistics_tally(build_root_system(d.factors[0]), "des_plus_ides")
+        assert sum(counts) == group_order(d), text
+        assert counts == counts[::-1], text
+        m1, m2 = oracles.moments_of_tally(counts, 2)
+        assert (m1, m2 - m1 ** 2) == double_eulerian_moments(d), text
+
+
+def test_records_increase_past_64_roots():
+    # inversion sets wider than one 64-bit word still sort as integers
+    for m in [70, 130]:
+        recs = _records(irreducible("I2", 2, m))
+        assert len(recs) == 2 * m
+        keys = [(r.length, r.inversion_set) for r in recs]
+        assert all(a < b for a, b in zip(keys, keys[1:])), m
+
+
 def test_des_plus_ides_symmetry_of_records():
     # the des tally of records equals popcount of right_descents, and the
     # multiset is invariant under swapping right and left
@@ -301,3 +331,28 @@ def test_cache_env_variable(tmp_path, monkeypatch):
     rootsys._MEMORY_TALLIES.pop((lab, "inv"), None)
     cached_tally(lab, "inv")
     assert list((tmp_path / "tallies").glob("*.tally"))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:7])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda path: write_tally_file(path, (1, 2, 3)),
+    lambda path: write_tally_file(path, (1, 60, 58, 1)),
+    lambda path: write_tally_file(path, (1, 59, 59, 2)),
+    _truncate,
+], ids=["wrong length", "not palindromic", "wrong sum", "truncated"])
+def test_cached_tally_rebuilds_corrupt_file(tmp_path, monkeypatch, corrupt):
+    from coxstat import rootsys
+
+    lab = irreducible("H", 3)
+    monkeypatch.setattr(rootsys, "_MEMORY_TALLIES", {})
+    want = cached_tally(lab, "des", cache_dir=tmp_path)
+    assert want == (1, 59, 59, 1)
+    path = tmp_path / "H3.des.tally"
+    corrupt(path)
+    monkeypatch.setattr(rootsys, "_MEMORY_TALLIES", {})
+    with pytest.warns(RuntimeWarning, match="H3.des.tally"):
+        assert cached_tally(lab, "des", cache_dir=tmp_path) == want
+    assert read_tally_file(path) == want
