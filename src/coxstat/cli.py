@@ -17,7 +17,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .elements import SignedPermutation, des_count, ides_count, inv_count, iter_windows
+from .elements import (
+    SignedPermutation,
+    des_count,
+    ides_count,
+    inv_count,
+    iter_windows,
+    to_one_line,
+)
 from .groups import parse_descriptor
 from .interplab import fetch_findstat, ingest, lagrange_guess, summarize
 from .limits import clt_check_des, clt_check_inv, llt_sup_distance
@@ -200,8 +207,7 @@ def _cmd_enumerate(args, stream):
         length = label.rank + 1 if label.family == "A" else label.rank
         for window in iter_windows(label.family, length, start=0, stop=limit):
             p = SignedPermutation(window, label.family)
-            line = "[" + ",".join(str(v) for v in window) + "]"
-            print(f"{line} inv={inv_count(p)} des={des_count(p)} "
+            print(f"{to_one_line(p)} inv={inv_count(p)} des={des_count(p)} "
                   f"ides={ides_count(p)}", file=stream)
         return 0
     rs = build_root_system(label)
@@ -285,7 +291,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError, Warning) as exc:
+        # a Warning gets here only when -W error turns it into an exception
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,8 @@
 
 gf_inv is the product of z-integers over the degrees, so it never needs
 enumeration.  gf_des uses classical recurrences for types A, B and the
-B-to-D relation for type D, each validated once per process against a
-direct enumeration tally on small ranks before first use; exceptional
+B-to-D relation for type D (the gf-des suite of ``coxstat verify``
+checks them against window enumeration on small ranks); exceptional
 factors fall back to the reflection-walk tally.  Root extraction for
 descent polynomials runs entirely in exact rational arithmetic (sign
 bisection on dyadic points) and only rounds at the very end.
@@ -15,9 +15,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import des_count, window_tally
 from .groups import as_descriptor, irreducible_degrees
-from .rootsys import DEFAULT_ENUM_CAP, build_root_system, cached_tally
+from .rootsys import cached_tally
 
 __all__ = [
     "ExactPolynomial",
@@ -113,21 +112,20 @@ def gf_inv(d):
 # ---------------------------------------------------------------------------
 # descent generating functions
 
-def _descent_rows_a(max_window):
-    """rows[N] = descent tally over the symmetric group on N letters."""
-    rows = [[1], [1]]
-    for N in range(2, max_window + 1):
-        prev = rows[N - 1]
-        row = [0] * ((N - 1) + 1)
-        for k in range(N):
+def _descent_row_a(N):
+    """Descent tally over the symmetric group on N letters."""
+    row = [1]
+    for M in range(2, N + 1):
+        prev = row
+        row = [0] * M
+        for k in range(M):
             acc = 0
             if k < len(prev):
                 acc += (k + 1) * prev[k]
             if 0 <= k - 1 < len(prev):
-                acc += (N - k) * prev[k - 1]
+                acc += (M - k) * prev[k - 1]
             row[k] = acc
-        rows.append(row)
-    return rows
+    return row
 
 
 def _descent_row_b(n):
@@ -147,81 +145,35 @@ def _descent_row_b(n):
 
 def _descent_row_d(n):
     # subtract the B-only contribution: n * 2^(n-1) * z * (tally of S_{n-1})
-    b = list(_descent_row_b(n))
-    a = _descent_rows_a(n - 1)[n - 1]
+    out = _descent_row_b(n)
     scale = n * (1 << (n - 1))
-    out = list(b)
-    for k, c in enumerate(a):
+    for k, c in enumerate(_descent_row_a(n - 1)):
         out[k + 1] -= scale * c
     if any(c < 0 for c in out):
         raise ArithmeticError(f"negative coefficient in D{n} descent relation")
     return out
 
 
-_VALIDATED = set()
-
-
-class RecurrenceValidationError(RuntimeError):
-    pass
-
-
-def _validate_descent_fast_paths():
-    """Compare the closed recurrences with direct enumeration, once.
-
-    A and B ranks up to 6 and D ranks 4..6 are tallied from the window
-    model; any mismatch is a hard error, the fast path is never trusted
-    silently.
-    """
-    if "des" in _VALIDATED:
-        return
-    rows_a = _descent_rows_a(7)
-    for rank_a in range(1, 7):
-        if tuple(rows_a[rank_a + 1]) != window_tally("A", rank_a + 1, des_count):
-            raise RecurrenceValidationError(
-                f"type A descent recurrence disagrees with enumeration at rank {rank_a}"
-            )
-    for n in range(2, 7):
-        if tuple(_descent_row_b(n)) != window_tally("B", n, des_count):
-            raise RecurrenceValidationError(
-                f"type B descent recurrence disagrees with enumeration at rank {n}"
-            )
-    for n in (4, 5, 6):
-        if tuple(_descent_row_d(n)) != window_tally("D", n, des_count):
-            raise RecurrenceValidationError(
-                f"type D descent relation disagrees with enumeration at rank {n}"
-            )
-    _VALIDATED.add("des")
-
-
-def _gf_des_irreducible(label, cap, allow_e8_enumeration):
+def _gf_des_irreducible(label):
     f, n = label.family, label.rank
-    if f in ("A", "B", "D"):
-        _validate_descent_fast_paths()
-        if f == "A":
-            return ExactPolynomial(tuple(_descent_rows_a(n + 1)[n + 1]))
-        if f == "B":
-            return ExactPolynomial(tuple(_descent_row_b(n)))
+    if f == "A":
+        return ExactPolynomial(tuple(_descent_row_a(n + 1)))
+    if f == "B":
+        return ExactPolynomial(tuple(_descent_row_b(n)))
+    if f == "D":
         return ExactPolynomial(tuple(_descent_row_d(n)))
     if f == "I2":
         return ExactPolynomial((1, 2 * label.m - 2, 1))
-    if f == "E" and n == 8 and not allow_e8_enumeration:
-        raise ValueError(
-            "enumeration infeasible: the E8 descent tally walks 696729600 "
-            "elements; pass allow_e8_enumeration=True to force it"
-        )
-    eff_cap = max(cap, 10 ** 9) if allow_e8_enumeration else cap
-    return ExactPolynomial(cached_tally(label, "des", cap=eff_cap))
+    return ExactPolynomial(cached_tally(label, "des"))
 
 
-def gf_des(d, cap=DEFAULT_ENUM_CAP, allow_e8_enumeration=False):
+def gf_des(d):
     """Descent generating function of a descriptor; degree equals the rank."""
     d = as_descriptor(d)
-    return product(
-        _gf_des_irreducible(f, cap, allow_e8_enumeration) for f in d.factors
-    )
+    return product(_gf_des_irreducible(f) for f in d.factors)
 
 
-def gf_des_plus_ides(d, cap=DEFAULT_ENUM_CAP):
+def gf_des_plus_ides(d):
     """Generating function of des(w) + des(w^-1); degree is twice the rank.
 
     No closed product formula is known, so every factor is tallied by
@@ -230,8 +182,7 @@ def gf_des_plus_ides(d, cap=DEFAULT_ENUM_CAP):
     """
     d = as_descriptor(d)
     return product(
-        ExactPolynomial(cached_tally(f, "des_plus_ides", cap=cap))
-        for f in d.factors
+        ExactPolynomial(cached_tally(f, "des_plus_ides")) for f in d.factors
     )
 
 
@@ -418,13 +369,13 @@ def bernoulli_parameters(bag):
     return tuple(1.0 / (1.0 + q) for q in bag.values)
 
 
-def descent_root_bag(d, tol=1e-12, cap=DEFAULT_ENUM_CAP):
+def descent_root_bag(d, tol=1e-12):
     """Roots of gf_des factor by factor (products repeat roots exactly)."""
     d = as_descriptor(d)
     values = []
     residual = 0.0
     for f in d.factors:
-        bag = negated_real_roots(gf_des(f, cap=cap), tol=tol)
+        bag = negated_real_roots(gf_des(f), tol=tol)
         values.extend(bag.values)
         residual = max(residual, bag.residual_bound)
     return RootBag(tuple(sorted(values, reverse=True)), residual)

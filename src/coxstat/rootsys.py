@@ -30,6 +30,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .groups import (
     group_order,
     irreducible_degrees,
 )
+from .moments import double_eulerian_moments, eulerian_moments, mahonian_moments
 from .rings import cos_ring_generator
 
 __all__ = [
@@ -190,8 +192,7 @@ def _check_cap(label, cap):
     order = group_order(descriptor(label))
     if order > cap:
         raise ValueError(
-            f"group order {order} of {label} exceeds enumeration cap {cap}; "
-            "pass a larger cap to override"
+            f"group order {order} of {label} exceeds enumeration cap {cap}"
         )
     return order
 
@@ -343,6 +344,13 @@ def read_tally_file(path):
     return tuple(out)
 
 
+_CLOSED_MOMENTS = {
+    "inv": mahonian_moments,
+    "des": eulerian_moments,
+    "des_plus_ides": double_eulerian_moments,
+}
+
+
 def _tally_defect(label, statistic, counts):
     """Why counts cannot be the tally of statistic over label, or None."""
     degree = {
@@ -357,15 +365,21 @@ def _tally_defect(label, statistic, counts):
         return f"coefficients sum to {sum(counts)}, expected |W| = {order}"
     if counts != counts[::-1]:
         return "coefficients are not palindromic"
+    mean = Fraction(sum(k * c for k, c in enumerate(counts)), order)
+    var = Fraction(sum(k * k * c for k, c in enumerate(counts)), order) - mean ** 2
+    want = _CLOSED_MOMENTS[statistic](label)
+    if (mean, var) != want:
+        return (f"mean {mean} and variance {var}, expected {want[0]} "
+                f"and {want[1]}")
     return None
 
 
-def cached_tally(label, statistic, cap=DEFAULT_ENUM_CAP, cache_dir=None):
+def cached_tally(label, statistic, cache_dir=None):
     """statistics_tally with a process-level and optional disk cache.
 
-    A disk file that does not parse, or whose length, sum or symmetry
-    cannot belong to the tally, is rebuilt and overwritten with a
-    RuntimeWarning.
+    A disk file that does not parse, or whose length, sum, symmetry,
+    mean or variance cannot belong to the tally, is rebuilt and
+    overwritten with a RuntimeWarning.
     """
     key = (label, statistic)
     hit = _MEMORY_TALLIES.get(key)
@@ -389,7 +403,7 @@ def cached_tally(label, statistic, cap=DEFAULT_ENUM_CAP, cache_dir=None):
             warnings.warn_explicit(
                 f"rebuilding tally file {path}: {defect}", RuntimeWarning,
                 "<coxstat tally cache>", 0, module=__name__)
-    counts = statistics_tally(build_root_system(label), statistic, cap=cap)
+    counts = statistics_tally(build_root_system(label), statistic)
     _MEMORY_TALLIES[key] = counts
     if dirp is not None:
         write_tally_file(_tally_path(dirp, label, statistic), counts)

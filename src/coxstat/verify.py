@@ -1,10 +1,11 @@
 """Self-check suites behind the ``verify`` subcommand.
 
 Every check compares two independent routes to the same numbers:
-closed forms against brute enumeration, fast recurrences against the
-reflection walk, emitted files against re-ingestion.  A check prints
-one ``ok``/``FAIL`` line; the runner returns the failure count so the
-CLI can exit nonzero without raising.
+closed forms against brute enumeration, fast recurrences against
+window enumeration and the reflection walk, emitted files against
+re-ingestion.  Production runs none of these; they live here and in
+the tests.  A check prints one ``ok``/``FAIL`` line; the runner returns
+the failure count so the CLI can exit nonzero without raising.
 
 Suites: quick, gf-inv, gf-des, moments, roots, cosets, limits, interp,
 and full (everything except quick).  The seed only affects the random
@@ -104,7 +105,17 @@ def _suite_gf_inv(rng):
            rep.palindromic and rep.unimodal, repr(rep))
 
 
+_DES_WINDOW_RANKS = {"A": range(1, 7), "B": range(2, 7), "D": range(4, 7)}
+
+
 def _suite_gf_des(rng):
+    for family, ranks in _DES_WINDOW_RANKS.items():
+        for n in ranks:
+            got = gf_des(parse_descriptor(f"{family}{n}")).coefficients
+            length = n + 1 if family == "A" else n
+            want = window_tally(family, length, des_count)
+            yield _eq(f"gf-des: {family}{n} recurrence matches the window tally",
+                      got, want)
     for text in ["A5", "B4", "D5", "I2(8)"]:
         d = parse_descriptor(text)
         got = gf_des(d).coefficients

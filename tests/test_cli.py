@@ -24,6 +24,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _cli_env(cache):
+    """Environment for a coxstat subprocess with its tally cache under cache."""
+    env = dict(os.environ, COXSTAT_CACHE=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(coxstat.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 # ---------------------------------------------------------------------------
 # gf
 
@@ -65,9 +73,7 @@ def test_gf_emit_poly_round_trips(capsys, tmp_path):
 @pytest.mark.parametrize("corrupt", ["wrong tally", "truncated"])
 def test_gf_rebuilds_corrupt_tally_file(tmp_path, corrupt):
     # a separate process, so the warning reaches stderr as the user sees it
-    env = dict(os.environ, COXSTAT_CACHE=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(coxstat.__file__).parents[1]), env.get("PYTHONPATH")]))
+    env = _cli_env(tmp_path)
     argv = [sys.executable, "-m", "coxstat.cli", "gf", "--group", "H3", "--stat", "des"]
     first = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     assert first.stdout.strip() == "[1,59,59,1]" and first.stderr == ""
@@ -83,6 +89,18 @@ def test_gf_rebuilds_corrupt_tally_file(tmp_path, corrupt):
     lines = again.stderr.splitlines()
     assert len(lines) == 1 and "RuntimeWarning" in lines[0], again.stderr
     assert path.read_bytes() == good
+
+
+def test_warning_as_error_is_runtime_exit(tmp_path):
+    write_tally_file(tmp_path / "tallies" / "H3.des.tally", (1, 2, 3))
+    argv = [sys.executable, "-W", "error", "-m", "coxstat.cli",
+            "gf", "--group", "H3", "--stat", "des"]
+    proc = subprocess.run(argv, env=_cli_env(tmp_path), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gf_empty_group_is_usage_error(capsys):

@@ -1,8 +1,15 @@
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
+import coxstat
+from coxstat.cli import main
 from coxstat.groups import descriptor, group_order, parse_descriptor, rank
 from coxstat.polynomials import (
     ExactPolynomial,
@@ -17,6 +24,7 @@ from coxstat.polynomials import (
     z_integer,
 )
 from coxstat.rootsys import build_root_system, statistics_tally
+from coxstat.verify import run_suite
 
 
 def P(*coeffs):
@@ -121,8 +129,8 @@ def test_gf_des_dihedral():
     assert gf_des(parse_descriptor("I2(3)")) == gf_des(parse_descriptor("A2"))
 
 
-def test_gf_des_beyond_validation_matches_reflection_walk():
-    # ranks past the validated window, via the independent reflection walk
+def test_gf_des_recurrences_match_reflection_walk():
+    # the independent reflection walk, not the window model
     for text in ["A6", "B5", "D5", "D6"]:
         d = parse_descriptor(text)
         got = gf_des(d).coefficients
@@ -130,15 +138,37 @@ def test_gf_des_beyond_validation_matches_reflection_walk():
         assert got == want, text
 
 
-def test_gf_des_validation_rejects_a_wrong_recurrence(monkeypatch):
+def test_verify_gf_des_catches_a_wrong_recurrence(monkeypatch):
     import coxstat.polynomials as polynomials
 
     right_row_b = polynomials._descent_row_b
-    monkeypatch.setattr(polynomials, "_VALIDATED", set())
     monkeypatch.setattr(polynomials, "_descent_row_b",
                         lambda n: [c + (k == 1) for k, c in enumerate(right_row_b(n))])
-    with pytest.raises(polynomials.RecurrenceValidationError, match="type B"):
-        gf_des(parse_descriptor("A2"))
+    out = io.StringIO()
+    assert run_suite("gf-des", stream=out) > 0
+    assert any(line.startswith("FAIL - gf-des: B")
+               for line in out.getvalue().splitlines()), out.getvalue()
+    assert main(["verify", "--suite", "gf-des"]) == 1
+
+
+def test_gf_des_runs_no_window_enumeration():
+    # a fresh process, so nothing computed earlier in this one can hide
+    # a window enumeration on the first descent call
+    code = (
+        "import coxstat.elements\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('window enumeration in production')\n"
+        "coxstat.elements.iter_windows = refuse\n"
+        "from coxstat.polynomials import gf_des\n"
+        "for text in ('A6', 'B6', 'D6'):\n"
+        "    gf_des(text)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(coxstat.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gf_des_exceptional_and_shape():

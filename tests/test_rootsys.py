@@ -341,8 +341,10 @@ def _truncate(path):
     lambda path: write_tally_file(path, (1, 2, 3)),
     lambda path: write_tally_file(path, (1, 60, 58, 1)),
     lambda path: write_tally_file(path, (1, 59, 59, 2)),
+    lambda path: write_tally_file(path, (2, 58, 58, 2)),
     _truncate,
-], ids=["wrong length", "not palindromic", "wrong sum", "truncated"])
+], ids=["wrong length", "not palindromic", "wrong sum", "wrong variance",
+        "truncated"])
 def test_cached_tally_rebuilds_corrupt_file(tmp_path, monkeypatch, corrupt):
     from coxstat import rootsys
 
