@@ -198,6 +198,8 @@ def _cmd_interp(args, stream):
 
 
 def _cmd_enumerate(args, stream):
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     d = parse_descriptor(args.group)
     if len(d.factors) != 1:
         raise ValueError("enumerate takes one irreducible factor at a time")
@@ -289,12 +291,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact integers go to and from decimal text at any size; interpreters
+    # without the int/str digit limit (before 3.10.7) need no lifting
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError, RuntimeError, ArithmeticError, Warning) as exc:
         # a Warning gets here only when -W error turns it into an exception
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

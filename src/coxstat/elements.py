@@ -296,7 +296,7 @@ def iter_windows(family, length, start=0, stop=None):
     """Windows in lexicographic (sign pattern, permutation) order.
 
     start/stop index into that order, so disjoint ranges partition the
-    group exactly; workers can each take a slice.
+    group exactly.
     """
     import itertools
 

@@ -5,8 +5,9 @@ enumeration.  gf_des uses classical recurrences for types A, B and the
 B-to-D relation for type D (the gf-des suite of ``coxstat verify``
 checks them against window enumeration on small ranks); exceptional
 factors fall back to the reflection-walk tally.  Root extraction for
-descent polynomials runs entirely in exact rational arithmetic (sign
-bisection on dyadic points) and only rounds at the very end.
+descent polynomials is exact integer arithmetic (square-free parts by
+gcds, Descartes' rule of signs with bisection, then sign bisection of
+each isolating interval) and only rounds at the very end.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, ldexp
 
 from .groups import as_descriptor, irreducible_degrees
+from .rings import _poly_divmod_int
 from .rootsys import cached_tally
 
 __all__ = [
@@ -112,42 +115,24 @@ def gf_inv(d):
 # ---------------------------------------------------------------------------
 # descent generating functions
 
-def _descent_row_a(N):
-    """Descent tally over the symmetric group on N letters."""
-    row = [1]
-    for M in range(2, N + 1):
-        prev = row
-        row = [0] * M
-        for k in range(M):
-            acc = 0
-            if k < len(prev):
-                acc += (k + 1) * prev[k]
-            if 0 <= k - 1 < len(prev):
-                acc += (M - k) * prev[k - 1]
-            row[k] = acc
-    return row
+def _eulerian_row(c, n):
+    """Descent tally of A_n (c = 1) or B_n (c = 2) by the Eulerian recurrence.
 
-
-def _descent_row_b(n):
+    row_N[k] = (ck + 1) row_{N-1}[k] + (c(N - k) + 1) row_{N-1}[k - 1].
+    """
     row = [1]
     for N in range(1, n + 1):
-        prev = row
-        row = [0] * (N + 1)
-        for k in range(N + 1):
-            acc = 0
-            if k < len(prev):
-                acc += (2 * k + 1) * prev[k]
-            if 0 <= k - 1 < len(prev):
-                acc += (2 * (N - k) + 1) * prev[k - 1]
-            row[k] = acc
+        prev = row + [0]  # prev[N] = 0 and, for k = 0, prev[k - 1] = 0
+        row = [(c * k + 1) * prev[k] + (c * (N - k) + 1) * prev[k - 1]
+               for k in range(N + 1)]
     return row
 
 
 def _descent_row_d(n):
     # subtract the B-only contribution: n * 2^(n-1) * z * (tally of S_{n-1})
-    out = _descent_row_b(n)
+    out = _eulerian_row(2, n)
     scale = n * (1 << (n - 1))
-    for k, c in enumerate(_descent_row_a(n - 1)):
+    for k, c in enumerate(_eulerian_row(1, n - 2)):
         out[k + 1] -= scale * c
     if any(c < 0 for c in out):
         raise ArithmeticError(f"negative coefficient in D{n} descent relation")
@@ -156,10 +141,8 @@ def _descent_row_d(n):
 
 def _gf_des_irreducible(label):
     f, n = label.family, label.rank
-    if f == "A":
-        return ExactPolynomial(tuple(_descent_row_a(n + 1)))
-    if f == "B":
-        return ExactPolynomial(tuple(_descent_row_b(n)))
+    if f in ("A", "B"):
+        return ExactPolynomial(tuple(_eulerian_row(1 if f == "A" else 2, n)))
     if f == "D":
         return ExactPolynomial(tuple(_descent_row_d(n)))
     if f == "I2":
@@ -228,6 +211,9 @@ def structural_checks(f):
 # ---------------------------------------------------------------------------
 # real roots of descent polynomials
 
+_RESIDUAL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RootBag:
     """Negated real roots q_i, descending, with f(z) = lead * prod(z + q_i).
@@ -241,126 +227,127 @@ class RootBag:
     residual_bound: float
 
 
-def _sign_at(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _sign_at(coeffs, num, shift):
+    """Sign of the integer polynomial at num / 2**shift, in integers."""
+    acc = 0
+    for i, c in enumerate(reversed(coeffs)):
+        acc = acc * num + (c << (shift * i))
     return (acc > 0) - (acc < 0)
 
 
-def _deflate_minus_one(coeffs):
-    """Divide by (z + 1) exactly while -1 stays a root."""
-    count = 0
-    while len(coeffs) > 1 and sum(c * (-1) ** i for i, c in enumerate(coeffs)) == 0:
-        out = [0] * (len(coeffs) - 1)
-        carry = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            out[k] = carry
-            carry = coeffs[k] - carry
-        if carry != 0:
-            raise ArithmeticError("inexact deflation")
-        coeffs = out
-        count += 1
-    return coeffs, count
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def _isolate_roots(coeffs, lo, hi, target, max_rounds=18):
-    """Bracket `target` sign changes of the polynomial on (lo, hi)."""
-    pts = [lo, hi]
-    signs = [_sign_at(coeffs, lo), _sign_at(coeffs, hi)]
-    exact = []
-    for _ in range(max_rounds + 1):
-        brackets = []
-        for (a, sa), (b, sb) in zip(zip(pts, signs), zip(pts[1:], signs[1:])):
-            if sa != 0 and sb != 0 and sa != sb:
-                brackets.append((a, b))
-        if len(brackets) + len(exact) == target:
-            return brackets, exact
-        if len(brackets) + len(exact) > target:
-            break
-        new_pts = [pts[0]]
-        new_signs = [signs[0]]
-        for (a, sa), (b, sb) in zip(zip(pts, signs), zip(pts[1:], signs[1:])):
-            mid = (a + b) / 2
-            sm = _sign_at(coeffs, mid)
-            if sm == 0 and mid not in exact:
-                exact.append(mid)
-            new_pts.extend([mid, b])
-            new_signs.extend([sm, sb])
-        pts, signs = new_pts, new_signs
-    raise ValueError(
-        f"real-rootedness not confirmed at tolerance: found "
-        f"{len(brackets) + len(exact)} of {target} real roots"
-    )
+def _primitive(p):
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // g for c in p]
 
 
-def _bisect(coeffs, a, b, max_iter=200):
-    sa = _sign_at(coeffs, a)
-    for _ in range(max_iter):
-        mid = (a + b) / 2
-        sm = _sign_at(coeffs, mid)
+def _gcd(a, b):
+    """Primitive gcd of integer polynomials by primitive pseudo-remainders."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            k = len(r) - len(b)
+            r = [b[-1] * c for c in r[:k]] + [
+                b[-1] * c - r[-1] * d for c, d in zip(r[k:-1], b)]
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r) if r else []
+    return _primitive(a)
+
+
+def _taylor_shift(p):
+    """Coefficients of p(x + 1)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _bisect(coeffs, lo, shift):
+    """The float nearest the one root of coeffs in (lo, lo + 1) / 2**shift.
+
+    If lo is an exact root, the sign just right of it is that of coeffs'.
+    """
+    sa = _sign_at(coeffs, lo, shift) or _sign_at(_derivative(coeffs), lo, shift)
+    while lo / (1 << shift) != (lo + 1) / (1 << shift):
+        lo, shift = 2 * lo, shift + 1
+        sm = _sign_at(coeffs, lo + 1, shift)
         if sm == 0:
-            return mid
+            return (lo + 1) / (1 << shift)
         if sm == sa:
-            a = mid
-        else:
-            b = mid
-        if float(a) == float(b):
-            break
-    return (a + b) / 2
+            lo += 1
+    return lo / (1 << shift)
+
+
+def _positive_roots(g):
+    """Positive roots of a square-free integer polynomial with g(0) != 0.
+
+    Descartes bisection (Rouillier-Zimmermann 2004): roots lie below 2^e
+    (Fujiwara's bound); node (k, c, q) is the interval 2^e (c, c + 1) / 2^k
+    and q has its roots on (0, 1), counted exactly by the sign changes of
+    (1 + x)^deg q(1 / (1 + x)) when these are 0 or 1.
+    """
+    lead = abs(g[-1]).bit_length()
+    e = max(0, 1 + max(-((lead - 1 - abs(c).bit_length()) // i)
+                       for i, c in enumerate(reversed(g[:-1]), 1)))
+    p = [c << (e * i) for i, c in enumerate(g)]
+    found = []
+    stack = [(0, 0, p)]
+    while stack:
+        k, c, q = stack.pop()
+        signs = [a > 0 for a in _taylor_shift(q[::-1]) if a]
+        v = sum(a != b for a, b in zip(signs, signs[1:]))
+        if v == 1:
+            found.append(_bisect(p, c, k))
+        elif v > 1:
+            left = [a << (len(q) - 1 - i) for i, a in enumerate(q)]
+            right = _taylor_shift(left)
+            if right[0] == 0:
+                found.append((2 * c + 1) / (1 << (k + 1)))
+                right = right[1:]
+            stack += [(k + 1, 2 * c, left), (k + 1, 2 * c + 1, right)]
+    return [ldexp(y, e) for y in found]
 
 
 def _exact_residual(coeffs, q):
     """|f(-q)| / f(q) as a float, with q lifted to an exact binary rational."""
     x = Fraction(q)
-    num = Fraction(0)
-    den = Fraction(0)
+    num = den = Fraction(0)
     for c in reversed(coeffs):
         num = num * -x + c
         den = den * x + c
     return float(abs(num) / den)
 
 
-def negated_real_roots(f, tol=1e-12):
+def negated_real_roots(f):
     """All roots of f written as -q_i with q_i > 0, or a loud failure.
 
-    Exact deflation peels off every factor of (z + 1); the rest is sign
-    bisection on dyadic rationals, using the palindromic mirror q -> 1/q
-    when available so the search stays inside (0, 1).
+    Round j finds the positive roots of the square-free h_j / h_{j+1}, where
+    h_1(x) = f(-x) and h_{j+1} = gcd(h_j, h_j'): the roots of multiplicity
+    at least j.  The count is exact, so f is real-rooted iff it is deg f.
     """
     coeffs = list(f.coefficients)
-    if len(coeffs) <= 1:
-        if not coeffs:
-            raise ValueError("zero polynomial")
-        return RootBag((), 0.0)
+    if not coeffs:
+        raise ValueError("zero polynomial")
     if coeffs[0] == 0:
         raise ValueError("zero constant term: 0 is a root, not of the form -q with q > 0")
-    coeffs, ones = _deflate_minus_one(coeffs)
-    roots = [1.0] * ones
-    deg = len(coeffs) - 1
-    if deg > 0:
-        # roots of h(x) = f(-x) on the positive axis
-        h = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
-        palindromic = coeffs == coeffs[::-1]
-        if palindromic:
-            if deg % 2 == 1:
-                raise ArithmeticError("odd palindromic degree should have deflated at -1")
-            lo, hi, target = Fraction(0), Fraction(1), deg // 2
-        else:
-            bound = Fraction(1) + max(abs(c) for c in h) / abs(h[-1])
-            lo, hi, target = Fraction(0), bound, deg
-        brackets, exact = _isolate_roots(h, lo, hi, target)
-        found = [float(x) for x in exact]
-        for a, b in brackets:
-            found.append(float(_bisect(h, a, b)))
-        if palindromic:
-            found += [1.0 / q for q in found]
-        roots.extend(found)
-    residual = max((_exact_residual(f.coefficients, q) for q in roots), default=0.0)
-    if residual > tol:
-        raise ValueError(
-            f"real-rootedness not confirmed at tolerance: residual {residual:.3e} > {tol:.3e}"
-        )
+    h = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    roots = []
+    while len(h) > 1:
+        d = _gcd(h, _derivative(h))
+        roots += _positive_roots(_poly_divmod_int(h, d))
+        h = d
+    if len(roots) < len(coeffs) - 1:
+        raise ValueError(f"real-rootedness not confirmed at tolerance: found "
+                         f"{len(roots)} of {len(coeffs) - 1} real roots")
+    residual = max((_exact_residual(coeffs, q) for q in roots), default=0.0)
+    if residual > _RESIDUAL_TOL:
+        raise ValueError(f"real-rootedness not confirmed at tolerance: residual "
+                         f"{residual:.3e} > {_RESIDUAL_TOL:.3e}")
     return RootBag(tuple(sorted(roots, reverse=True)), residual)
 
 
@@ -369,13 +356,13 @@ def bernoulli_parameters(bag):
     return tuple(1.0 / (1.0 + q) for q in bag.values)
 
 
-def descent_root_bag(d, tol=1e-12):
+def descent_root_bag(d):
     """Roots of gf_des factor by factor (products repeat roots exactly)."""
     d = as_descriptor(d)
     values = []
     residual = 0.0
     for f in d.factors:
-        bag = negated_real_roots(gf_des(f), tol=tol)
+        bag = negated_real_roots(gf_des(f))
         values.extend(bag.values)
         residual = max(residual, bag.residual_bound)
     return RootBag(tuple(sorted(values, reverse=True)), residual)

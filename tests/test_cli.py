@@ -186,6 +186,27 @@ def test_clt_order_invariance(capsys):
         assert check(spec, shuffled) == want
 
 
+def test_clt_prints_integers_past_the_digit_limit(tmp_path):
+    # the variance of prod(I2(i), i=1..10000) has a denominator of over
+    # 4300 digits, beyond the default int/str limit of recent interpreters
+    argv = [sys.executable, "-m", "coxstat.cli", "clt", "--spec",
+            "prod(I2(i), i=1..n)", "--stat", "des", "--range", "10000..10000"]
+    proc = subprocess.run(argv, env=_cli_env(tmp_path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        row, = json.loads(proc.stdout)["per_n"]
+        variance = Fraction(row["variance"])
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+    terms = range(3, 10001)
+    lcm = math.lcm(*terms)
+    assert variance == Fraction(3, 4) + Fraction(sum(lcm // m for m in terms), lcm)
+
+
 def test_clt_table_output(capsys):
     rc, out, _ = run(capsys, "clt", "--spec", "B(n)", "--stat", "des",
                      "--range", "10..16", "--emit", "table")
@@ -333,6 +354,14 @@ def test_enumerate_reflection_groups(capsys):
     assert lines[0] == "inversions=0x0 length=0 des=0 ides=0"
     assert len(lines) == 4
     assert all(line.startswith("inversions=0x") for line in lines)
+
+
+@pytest.mark.parametrize("group", ["A3", "H3"])
+def test_enumerate_negative_limit_is_usage_error(capsys, group):
+    rc, out, err = run(capsys, "enumerate", "--group", group, "--limit", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --limit must be nonnegative, got -1"]
 
 
 def test_enumerate_rejects_products(capsys):

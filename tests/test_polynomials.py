@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -141,9 +142,10 @@ def test_gf_des_recurrences_match_reflection_walk():
 def test_verify_gf_des_catches_a_wrong_recurrence(monkeypatch):
     import coxstat.polynomials as polynomials
 
-    right_row_b = polynomials._descent_row_b
-    monkeypatch.setattr(polynomials, "_descent_row_b",
-                        lambda n: [c + (k == 1) for k, c in enumerate(right_row_b(n))])
+    right_row = polynomials._eulerian_row
+    monkeypatch.setattr(polynomials, "_eulerian_row",
+                        lambda c, n: [a + (c == 2 and k == 1)
+                                      for k, a in enumerate(right_row(c, n))])
     out = io.StringIO()
     assert run_suite("gf-des", stream=out) > 0
     assert any(line.startswith("FAIL - gf-des: B")
@@ -276,6 +278,32 @@ def test_roots_failure_is_loud():
         negated_real_roots(P(0, 1))
 
 
+def test_roots_on_split_points_are_exact():
+    # 64 (z + 3)(z + 1)(z + 3/4)(z + 5/8)(z + 1/2): every root is dyadic
+    bag = negated_real_roots(P(45, 282, 671, 746, 376, 64))
+    assert bag.values == (3.0, 1.0, 0.75, 0.625, 0.5)
+    assert bag.residual_bound == 0.0
+
+
+@pytest.mark.parametrize("text", ["A2", "A7", "B11", "D13", "I2(17)", "F4", "E6"])
+def test_roots_are_nearest_floats(text):
+    # h(x) = f(-x) changes sign between the midpoints to each root's
+    # float neighbours, so no other float is closer to a true root
+    f = gf_des(parse_descriptor(text))
+    h = [c if i % 2 == 0 else -c for i, c in enumerate(f.coefficients)]
+
+    def sign(x):
+        acc = Fraction(0)
+        for c in reversed(h):
+            acc = acc * x + c
+        return (acc > 0) - (acc < 0)
+
+    for q in negated_real_roots(f).values:
+        lo = (Fraction(q) + Fraction(math.nextafter(q, 0))) / 2
+        hi = (Fraction(q) + Fraction(math.nextafter(q, math.inf))) / 2
+        assert sign(lo) * sign(hi) < 0, (text, q)
+
+
 def test_descent_root_bag_concatenates_factors():
     d = parse_descriptor("A1 x A2")
     bag = descent_root_bag(d)
@@ -287,15 +315,20 @@ def test_descent_root_bag_concatenates_factors():
     bag2 = descent_root_bag(d2)
     assert bag2.values[0] == bag2.values[1]
     assert len(bag2.values) == 4
+    # the product polynomial itself has double roots
+    assert negated_real_roots(gf_des(d2)).values == bag2.values
 
 
 def test_root_sum_identities():
     # sum of 1/(1+q) is rank/2; weighted sum of q/(1+q)^2 is the variance
     from coxstat.moments import eulerian_moments
 
-    for text in ["A4", "B4", "D5", "H3", "F4", "I2(9)", "A2 x I2(5)"]:
+    for text in ["A4", "B4", "D5", "H3", "F4", "I2(9)", "A2 x I2(5)",
+                 "A30", "A40", "A60", "B30"]:
         d = parse_descriptor(text)
         bag = descent_root_bag(d)
+        assert len(bag.values) == rank(d), text
+        assert bag.residual_bound <= 1e-12, text
         ps = bernoulli_parameters(bag)
         mean, var = eulerian_moments(d)
         assert abs(sum(ps) - float(mean)) < 1e-8, text
