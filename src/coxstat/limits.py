@@ -15,6 +15,13 @@ range; n is the outer index everywhere.  Labels are normalized at
 evaluation: I2(1) means A1 and I2(2) means A1 x A1, so specs may sweep
 a dihedral parameter from 1 without special-casing the degenerate start.
 
+Sweep rows never build the descriptor: each (term, i) contributes its
+rank, degrees and variances from the per-factor closed forms, and a
+prod term whose pieces do not depend on n keeps one running prefix sum
+across the sorted rows, so such a sweep is linear in the range rather
+than quadratic.  SequenceSpec.descriptor and dihedral_parameters stay
+the reference route for tests and verify.
+
 The checks themselves are numeric diagnostics, not proofs: sampled
 values over the requested range, a fitted log-log exponent, and a
 four-way verdict.  For recognized shapes (a single growing classical
@@ -35,15 +42,10 @@ from .groups import (
     IrreducibleLabel,
     as_descriptor,
     degrees,
-    m_max,
-    rank,
+    factor_m_max,
+    irreducible_degrees,
 )
-from .moments import (
-    double_eulerian_moments,
-    eulerian_moments,
-    mahonian_moments,
-    moments_from_polynomial,
-)
+from .moments import _eulerian_factor_moments, moments_from_polynomial
 from .polynomials import bernoulli_parameters, descent_root_bag
 
 __all__ = [
@@ -233,6 +235,29 @@ class _Term:
     prod_range: tuple | None    # (lo AST, hi AST) when a prod(...) term
 
 
+def _term_labels(term, env, n):
+    """(raw parameter, normalized labels, power) of one term at env."""
+    value = _eval_expr(term.param, env)
+    count = 1
+    if term.power is not None:
+        count = _eval_expr(term.power, env)
+        if count < 0:
+            raise ValueError(f"negative power {count} at n = {n}")
+    try:
+        if term.family == "I2":
+            if value == 1:
+                labels = [IrreducibleLabel("A", 1)]
+            elif value == 2:
+                labels = [IrreducibleLabel("A", 1)] * 2
+            else:
+                labels = [IrreducibleLabel("I2", 2, value)]
+        else:
+            labels = [IrreducibleLabel(term.family, value)]
+    except ValueError as exc:
+        raise ValueError(f"invalid label at n = {n}: {exc}") from exc
+    return value, labels, count
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     source_text: str
@@ -243,35 +268,15 @@ class SequenceSpec:
         factors = []
         for term in self.terms:
             if term.prod_range is None:
-                self._emit(term, {"n": n}, n, factors)
+                _, labels, count = _term_labels(term, {"n": n}, n)
+                factors.extend(labels * count)
             else:
                 lo = _eval_expr(term.prod_range[0], {"n": n})
                 hi = _eval_expr(term.prod_range[1], {"n": n})
                 for i in range(lo, hi + 1):
-                    self._emit(term, {"n": n, "i": i}, n, factors)
+                    _, labels, count = _term_labels(term, {"n": n, "i": i}, n)
+                    factors.extend(labels * count)
         return CoxeterDescriptor(tuple(factors))
-
-    @staticmethod
-    def _emit(term, env, n, factors):
-        value = _eval_expr(term.param, env)
-        count = 1
-        if term.power is not None:
-            count = _eval_expr(term.power, env)
-            if count < 0:
-                raise ValueError(f"negative power {count} at n = {n}")
-        try:
-            if term.family == "I2":
-                if value == 1:
-                    labels = [IrreducibleLabel("A", 1)]
-                elif value == 2:
-                    labels = [IrreducibleLabel("A", 1)] * 2
-                else:
-                    labels = [IrreducibleLabel("I2", 2, value)]
-            else:
-                labels = [IrreducibleLabel(term.family, value)]
-        except ValueError as exc:
-            raise ValueError(f"invalid label at n = {n}: {exc}") from exc
-        factors.extend(labels * count)
 
     def dihedral_parameters(self, n):
         """Raw I2 edge labels at index n, before normalization, with
@@ -480,24 +485,110 @@ def _range_list(n_range):
     return ns
 
 
-def _inv_row(spec, n):
-    d = spec.descriptor(n)
-    r = rank(d)
-    if r < 1:
-        raise ValueError(f"trivial group at n = {n}")
-    _, var = mahonian_moments(d)
-    return r, max(degrees(d)), var, m_max(d) if r >= 2 else None
+@dataclass(frozen=True)
+class _Aggregate:
+    """Closed-form sums and maxima over a multiset of factors."""
+
+    rank: int = 0
+    factors: int = 0
+    degree_squares: int = 0     # sum of d^2 - 1 over the degrees
+    des_variance: Fraction = Fraction(0)
+    inverse_m_sum: Fraction = Fraction(0)   # over raw I2 parameters
+    nondihedral_rank: int = 0
+    max_degree: int = 0
+    max_edge: int = 0           # largest factor_m_max over rank >= 2 factors
+
+    def __add__(self, other):
+        return _Aggregate(
+            self.rank + other.rank,
+            self.factors + other.factors,
+            self.degree_squares + other.degree_squares,
+            self.des_variance + other.des_variance,
+            self.inverse_m_sum + other.inverse_m_sum,
+            self.nondihedral_rank + other.nondihedral_rank,
+            max(self.max_degree, other.max_degree),
+            max(self.max_edge, other.max_edge),
+        )
 
 
-def _des_row(spec, n):
-    d = spec.descriptor(n)
-    r = rank(d)
-    if r < 1:
-        raise ValueError(f"trivial group at n = {n}")
-    _, var = eulerian_moments(d)
-    psum = sum(Fraction(1, m) for m in spec.dihedral_parameters(n))
-    nd = sum(f.rank for f in d.factors if f.family != "I2")
-    return r, var, psum, nd
+_EMPTY = _Aggregate()
+
+
+def _piece(term, env, n):
+    """Aggregate of one (term, i): its labels, taken power times."""
+    value, labels, count = _term_labels(term, env, n)
+    copies = len(labels) * count  # the labels are copies of one label
+    if copies == 0:
+        return _EMPTY
+    f = labels[0]
+    degs = irreducible_degrees(f)
+    return _Aggregate(
+        rank=copies * f.rank,
+        factors=copies,
+        degree_squares=copies * sum(v * v - 1 for v in degs),
+        des_variance=copies * _eulerian_factor_moments(f)[1],
+        inverse_m_sum=Fraction(count, value) if term.family == "I2" else Fraction(0),
+        nondihedral_rank=0 if f.family == "I2" else copies * f.rank,
+        max_degree=max(degs),
+        max_edge=factor_m_max(f) if f.rank >= 2 else 0,
+    )
+
+
+class _PrefixSum:
+    """Running aggregate of one prod term over i = lo, lo + 1, ...
+
+    upto(hi) extends the sum in place, so a term whose pieces do not
+    depend on n serves every row from one pass over i; a smaller hi
+    than last time starts again from lo.  Only the running sum is kept:
+    a table of exact prefix sums would hold lcm(1..i) denominators for
+    every i.
+    """
+
+    def __init__(self, term, lo):
+        self.term = term
+        self.lo = lo
+        self.count = 0
+        self.total = _EMPTY
+
+    def upto(self, hi, n):
+        want = max(hi - self.lo + 1, 0)
+        if want < self.count:
+            self.count, self.total = 0, _EMPTY
+        while self.count < want:
+            env = {"n": n, "i": self.lo + self.count}
+            self.total = self.total + _piece(self.term, env, n)
+            self.count += 1
+        return self.total
+
+
+def _sweep(spec, ns):
+    """(n, aggregate of spec.descriptor(n)) for each n of the sorted ns.
+
+    A prod term whose parameter, power and lower bound do not mention n
+    keeps one prefix sum across rows; any other term rebuilds its own
+    for each row.  Labels are checked in the order spec.descriptor
+    checks them, so an invalid one fails at the same n.
+    """
+    shared = [t.prod_range is not None
+              and not any("n" in _expr_vars(e)
+                          for e in (t.param, t.power or ("num", 1), t.prod_range[0]))
+              for t in spec.terms]
+    prefix = {}
+    for n in ns:
+        parts = []
+        for k, term in enumerate(spec.terms):
+            if term.prod_range is None:
+                parts.append(_piece(term, {"n": n}, n))
+                continue
+            lo = _eval_expr(term.prod_range[0], {"n": n})
+            hi = _eval_expr(term.prod_range[1], {"n": n})
+            if not shared[k] or k not in prefix:
+                prefix[k] = _PrefixSum(term, lo)
+            parts.append(prefix[k].upto(hi, n))
+        total = sum(parts[1:], parts[0])
+        if total.rank < 1:
+            raise ValueError(f"trivial group at n = {n}")
+        yield n, total
 
 
 def clt_check_inv(spec, n_range):
@@ -514,14 +605,16 @@ def clt_check_inv(spec, n_range):
     ratio_samples = []
     m_samples = []
     ranks = []
-    for n in ns:
-        r, dn, var, mm = _inv_row(spec, n)
+    for n, agg in _sweep(spec, ns):
+        var = Fraction(agg.degree_squares, 12)
         s = math.sqrt(float(var))
-        ratio_samples.append((n, dn / s))
-        if mm is not None:
+        ratio_samples.append((n, agg.max_degree / s))
+        if agg.rank >= 2:
+            # distinct factors commute: a cross-factor edge label 2
+            mm = max(agg.max_edge, 2 if agg.factors >= 2 else 0)
             m_samples.append((n, mm / s))
-        ranks.append(r)
-        per_n.append((n, r, dn, var))
+        ranks.append(agg.rank)
+        per_n.append((n, agg.rank, agg.max_degree, var))
     ratio = trend_verdict(ratio_samples, "d_n / s_n")
     m_ratio = trend_verdict(m_samples, "m_n / s_n")
     symbolic = None
@@ -569,12 +662,11 @@ def clt_check_des(spec, n_range):
     s_samples = []
     sums = []
     nd_ranks = []
-    for n in ns:
-        r, var, psum, nd = _des_row(spec, n)
-        s_samples.append((n, math.sqrt(float(var))))
-        sums.append((n, float(psum)))
-        nd_ranks.append((n, nd))
-        per_n.append((n, r, var))
+    for n, agg in _sweep(spec, ns):
+        s_samples.append((n, math.sqrt(float(agg.des_variance))))
+        sums.append((n, float(agg.inverse_m_sum)))
+        nd_ranks.append((n, agg.nondihedral_rank))
+        per_n.append((n, agg.rank, agg.des_variance))
     trend = trend_verdict(s_samples, "s_n")
     symbolic = None
     kind = spec.classify()

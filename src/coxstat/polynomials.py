@@ -1,13 +1,15 @@
 """Exact generating functions and their structure.
 
 gf_inv is the product of z-integers over the degrees, so it never needs
-enumeration.  gf_des uses classical recurrences for types A, B and the
-B-to-D relation for type D (the gf-des suite of ``coxstat verify``
-checks them against window enumeration on small ranks); exceptional
-factors fall back to the reflection-walk tally.  Root extraction for
-descent polynomials is exact integer arithmetic (square-free parts by
-gcds, Descartes' rule of signs with bisection, then sign bisection of
-each isolating interval) and only rounds at the very end.
+enumeration; each factor [d]_z is applied as a running window sum of
+the coefficients, linear in their number.  gf_des uses classical
+recurrences for types A, B and the B-to-D relation for type D (the
+gf-des suite of ``coxstat verify`` checks them against window
+enumeration on small ranks); exceptional factors fall back to the
+reflection-walk tally.  Root extraction for descent polynomials is
+exact integer arithmetic (square-free parts by gcds, Descartes' rule of
+signs with bisection, then sign bisection of each isolating interval)
+and only rounds at the very end.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, ldexp
+from operator import sub
 
 from .groups import as_descriptor, irreducible_degrees
 from .rings import _poly_divmod_int
@@ -107,9 +111,20 @@ def z_integer(d):
 
 
 def gf_inv(d):
-    """Length generating function: the product of z-integers over degrees."""
+    """Length generating function: the product of z-integers over degrees.
+
+    Multiplying by [v]_z replaces each coefficient with the sum of the
+    last v coefficients, so each degree costs one running window sum,
+    O(len) integer additions, rather than a schoolbook product.
+    """
     d = as_descriptor(d)
-    return product(z_integer(v) for f in d.factors for v in irreducible_degrees(f))
+    coeffs = [1]
+    for f in d.factors:
+        for v in irreducible_degrees(f):
+            sums = [0, *accumulate(coeffs + [0] * (v - 1))]
+            # coefficient k of the product is sums[k + 1] - sums[k + 1 - v]
+            coeffs = list(map(sub, sums[1:], [0] * (v - 1) + sums[:len(coeffs)]))
+    return ExactPolynomial(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

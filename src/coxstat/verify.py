@@ -2,8 +2,8 @@
 
 Every check compares two independent routes to the same numbers:
 closed forms against brute enumeration, fast recurrences against
-window enumeration and the reflection walk, emitted files against
-re-ingestion.  Production runs none of these; they live here and in
+window enumeration and the reflection walk, limit-sweep rows against
+one descriptor per row, emitted files against re-ingestion.  Production runs none of these; they live here and in
 the tests.  A check prints one ``ok``/``FAIL`` line; the runner returns
 the failure count so the CLI can exit nonzero without raising.
 
@@ -34,12 +34,13 @@ from .elements import (
     st_count,
     window_tally,
 )
-from .groups import group_order, parse_descriptor, rank
+from .groups import degrees, group_order, m_max, parse_descriptor, rank
 from .interplab import builtin_dataset, ingest, lagrange_guess, summarize
 from .limits import (
     clt_check_des,
     clt_check_inv,
     llt_sup_distance,
+    parse_sequence_spec,
     triangular_array_diagnostics,
 )
 from .moments import (
@@ -291,7 +292,37 @@ _EXAMPLES = [
 ]
 
 
+def _descriptor_rows(text, ns):
+    """clt_check_* rows by the reference route: one descriptor per n."""
+    spec = parse_sequence_spec(text)
+    inv, m_ratio, des, sums, nd = [], [], [], [], []
+    for n in ns:
+        d = spec.descriptor(n)
+        r = rank(d)
+        var = mahonian_moments(d)[1]
+        inv.append((n, r, max(degrees(d)), var))
+        if r >= 2:
+            m_ratio.append((n, m_max(d) / math.sqrt(float(var))))
+        des.append((n, r, eulerian_moments(d)[1]))
+        sums.append((n, float(sum(Fraction(1, m)
+                                  for m in spec.dihedral_parameters(n)))))
+        nd.append((n, sum(f.rank for f in d.factors if f.family != "I2")))
+    return (tuple(inv), tuple(m_ratio)), (tuple(des), tuple(sums), tuple(nd))
+
+
 def _suite_limits(rng):
+    # a prefix sum shared by the rows, terms without i, and a prefix sum
+    # rebuilt for each row; every seventh n keeps the check near 10 ms
+    ns = range(2, 31, 7)
+    for text in ("prod(I2(i), i=1..n)", "A1^(n-2) x I2(n)",
+                 "prod(I2(n+i), i=1..n)"):
+        want_inv, want_des = _descriptor_rows(text, ns)
+        rep = clt_check_inv(text, ns)
+        yield _eq(f"limits: {text} inversion rows match the descriptor route",
+                  (rep.per_n, rep.m_ratio.samples), want_inv)
+        rep = clt_check_des(text, ns)
+        yield _eq(f"limits: {text} descent rows match the descriptor route",
+                  (rep.per_n, rep.partial_sums, rep.nondihedral_ranks), want_des)
     for text, want_inv, want_des in _EXAMPLES:
         got = clt_check_inv(text, range(10, 81)).clt_holds
         yield _eq(f"limits: inversions verdict for {text}", got, want_inv)

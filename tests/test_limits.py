@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxstat.groups import descriptor, irreducible, rank
+from coxstat.groups import degrees, descriptor, irreducible, m_max, rank
 from coxstat.limits import (
+    SequenceSpec,
     clt_check_des,
     clt_check_inv,
     llt_sup_distance,
@@ -15,7 +16,7 @@ from coxstat.limits import (
     trend_verdict,
     triangular_array_diagnostics,
 )
-from coxstat.moments import mahonian_moments
+from coxstat.moments import eulerian_moments, mahonian_moments
 from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
 
 EX1 = "prod(I2(i), i=1..n)"
@@ -175,6 +176,75 @@ class TestCltDes:
                 assert rep.clt_holds is True
             if rep.clt_holds is True:
                 assert rep.cond_rank_unbounded or rep.cond_dihedral_divergence
+
+
+SWEEP_CASES = [
+    ("A(n)", range(1, 31)),
+    ("D(n)", range(4, 31)),
+    (EX1, range(1, 41)),
+    (EX2, range(1, 41)),
+    (EX4, range(1, 26)),
+    (EX3, range(2, 41)),
+    ("prod(I2(n+i), i=1..n)", range(1, 31)),
+    ("prod(I2(i), i=n..2*n)", range(1, 31)),
+    ("prod(I2(i), i=5..n) x A(n)", range(1, 12)),  # empty ranges below 5
+    ("prod(A(i)^2, i=1..n) x H3", range(1, 13)),
+    ("prod(I2(i), i=1..30-n) x A(n)", range(1, 31)),  # the range shrinks
+    ("prod(I2(i)^(n-i), i=1..n)", range(2, 31)),      # the power depends on n
+]
+
+
+def _oracle_rows(text, ns):
+    """Both checks' rows, built the slow way from each descriptor."""
+    spec = parse_sequence_spec(text)
+    inv, ratio, m_ratio, des, s_des, sums, nd = [], [], [], [], [], [], []
+    for n in ns:
+        d = spec.descriptor(n)
+        r = rank(d)
+        dn = max(degrees(d))
+        var = mahonian_moments(d)[1]
+        s = math.sqrt(float(var))
+        inv.append((n, r, dn, var))
+        ratio.append((n, dn / s))
+        if r >= 2:
+            m_ratio.append((n, m_max(d) / s))
+        dvar = eulerian_moments(d)[1]
+        des.append((n, r, dvar))
+        s_des.append((n, math.sqrt(float(dvar))))
+        sums.append((n, float(sum(Fraction(1, m)
+                                  for m in spec.dihedral_parameters(n)))))
+        nd.append((n, sum(f.rank for f in d.factors if f.family != "I2")))
+    return tuple(map(tuple, (inv, ratio, m_ratio, des, s_des, sums, nd)))
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("text, ns", SWEEP_CASES, ids=[t for t, _ in SWEEP_CASES])
+    def test_rows_match_descriptor_route(self, text, ns):
+        inv, ratio, m_ratio, des, s_des, sums, nd = _oracle_rows(text, ns)
+        rep = clt_check_inv(text, ns)
+        assert rep.per_n == inv
+        assert rep.ratio.samples == ratio
+        assert rep.m_ratio.samples == m_ratio
+        rep = clt_check_des(text, ns)
+        assert rep.per_n == des
+        assert rep.trend.samples == s_des
+        assert rep.partial_sums == sums
+        assert rep.nondihedral_ranks == nd
+
+    def test_first_invalid_label_fails_at_the_same_n(self):
+        for check in (clt_check_inv, clt_check_des):
+            with pytest.raises(ValueError, match="invalid label at n = 3"):
+                check("prod(B(i), i=1..n)", range(3, 9))
+
+    def test_rows_do_not_build_descriptors(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("descriptor route in a sweep")
+
+        monkeypatch.setattr(SequenceSpec, "descriptor", refuse)
+        monkeypatch.setattr(SequenceSpec, "dihedral_parameters", refuse)
+        for text in (EX1, "A(n)"):
+            assert clt_check_inv(text, range(1, 30)).clt_holds is True
+            assert clt_check_des(text, range(1, 30)).clt_holds is True
 
 
 class TestLindeberg:

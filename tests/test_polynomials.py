@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,14 @@ import pytest
 import oracles
 import coxstat
 from coxstat.cli import main
-from coxstat.groups import descriptor, group_order, parse_descriptor, rank
+from coxstat.groups import (
+    TRIVIAL,
+    degrees,
+    descriptor,
+    group_order,
+    parse_descriptor,
+    rank,
+)
 from coxstat.polynomials import (
     ExactPolynomial,
     bernoulli_parameters,
@@ -98,6 +106,33 @@ def test_gf_accepts_descriptor_strings():
     assert gf_des_plus_ides("A2") == gf_des_plus_ides(parse_descriptor("A2"))
     with pytest.raises(ValueError, match="unrecognized factor"):
         gf_inv("Q9")
+
+
+def _random_descriptor(rng):
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        family = rng.choice("ABDEFHI")
+        if family == "I":
+            factors.append(("I2", 2, rng.randint(3, 200)))
+        else:
+            n = {"A": rng.randint(1, 12), "B": rng.randint(2, 10),
+                 "D": rng.randint(4, 10), "E": rng.randint(6, 8),
+                 "F": 4, "H": rng.randint(3, 4)}[family]
+            factors.append((family, n))
+    return descriptor(*factors)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gf_inv_window_sums_match_schoolbook_product(seed):
+    rng = random.Random(seed)
+    cases = [TRIVIAL, parse_descriptor("E8 x H4"),
+             parse_descriptor(f"A1^{rng.randint(1, 40)}"),
+             parse_descriptor(f"I2({rng.randint(3, 200)})"), parse_descriptor("I2(200)")]
+    cases += [_random_descriptor(rng) for _ in range(8)]
+    for d in cases:
+        want = product(z_integer(v) for v in degrees(d))
+        assert gf_inv(d) == want, str(d)
+    assert gf_inv(TRIVIAL).coefficients == (1,)
 
 
 def test_gf_inv_global_shape():
