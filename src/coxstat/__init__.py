@@ -4,8 +4,12 @@ The package computes generating functions, moments, and limit
 diagnostics for inversions, descents, and descents-plus-inverse-
 descents, everything in exact integer or rational arithmetic.  The
 most used entry points are re-exported here; the submodules carry the
-full APIs (groups, elements, rootsys, polynomials, moments, limits,
-interplab, verify, cli).
+full APIs (groups, elements, rootsys, tallies, polynomials, moments,
+limits, interplab, verify, cli).
+
+Importing the package does not import numpy: that comes with rootsys,
+the reflection walk, which is loaded only when a tally must be walked,
+an exceptional group is enumerated, or a verify suite runs.
 """
 
 from .groups import (

@@ -7,6 +7,11 @@ success, 1 for a verification failure, 2 for usage and runtime errors
 rationals are emitted as "p/q" strings and integers too wide for a
 double (2^53 and up) as decimal strings, so consumers that parse
 through floating point cannot silently truncate anything.
+
+The reflection walk (rootsys, the one module that imports numpy) and
+the verify suites are imported only by the commands that use them:
+enumerate on a group outside A/B/D, and verify.  gf, moments and llt
+reach the walk only through a miss of the tally cache.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from .interplab import fetch_findstat, ingest, lagrange_guess, summarize
 from .limits import clt_check_des, clt_check_inv, llt_sup_distance
 from .moments import moments_from_polynomial
 from .polynomials import gf_des, gf_des_plus_ides, gf_inv
-from .rootsys import build_root_system, enumerate_inversion_sets
-from .verify import run_suite, suite_names
 
 __all__ = ["main", "build_parser"]
 
@@ -212,6 +215,8 @@ def _cmd_enumerate(args, stream):
             print(f"{to_one_line(p)} inv={inv_count(p)} des={des_count(p)} "
                   f"ides={ides_count(p)}", file=stream)
         return 0
+    from .rootsys import build_root_system, enumerate_inversion_sets
+
     rs = build_root_system(label)
     for count, rec in enumerate(enumerate_inversion_sets(rs)):
         if count >= limit:
@@ -223,6 +228,8 @@ def _cmd_enumerate(args, stream):
 
 
 def _cmd_verify(args, stream):
+    from .verify import run_suite
+
     failures = run_suite(args.suite, seed=args.seed, stream=stream)
     return 1 if failures else 0
 
@@ -273,7 +280,10 @@ def build_parser():
     p.set_defaults(func=_cmd_interp)
 
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("--suite", required=True, choices=list(suite_names()))
+    # no choices: listing them would import verify and with it the walk;
+    # run_suite rejects an unknown name
+    p.add_argument("--suite", required=True,
+                   help="quick, full, or one part of full such as gf-des")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

@@ -396,6 +396,8 @@ def _fit_exponent(samples):
     xs = [math.log(n) for n, _ in samples]
     ys = [math.log(v) for _, v in samples]
     k = len(xs)
+    if k < 2:
+        return 0.0
     mx = sum(xs) / k
     my = sum(ys) / k
     denom = sum((x - mx) ** 2 for x in xs)
@@ -412,6 +414,8 @@ def trend_verdict(samples, quantity="value"):
     bounded:           exponent within +-0.05 and the last quarter of the
                        samples spreads less than 10% around its mean
     otherwise inconclusive.  Under six samples: always inconclusive.
+    The exponent is fitted over the samples with n >= 1 (log n needs
+    n > 0); an n = 0 sample still counts as the first value.
     """
     samples = tuple((int(n), float(v)) for n, v in samples)
     if len(samples) < 6:
@@ -421,7 +425,7 @@ def trend_verdict(samples, quantity="value"):
         return TrendReport(samples, 0.0, "inconclusive",
                            f"nonpositive {quantity} in the range")
     first, last = samples[0][1], samples[-1][1]
-    slope = _fit_exponent(samples)
+    slope = _fit_exponent([(n, v) for n, v in samples if n >= 1])
     base = (f"{quantity}: {first:.4g} at n={samples[0][0]} to {last:.4g} "
             f"at n={samples[-1][0]}, fitted exponent {slope:+.3f}; "
             "numeric diagnostic over the range, not a proof")

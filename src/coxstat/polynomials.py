@@ -6,10 +6,11 @@ the coefficients, linear in their number.  gf_des uses classical
 recurrences for types A, B and the B-to-D relation for type D (the
 gf-des suite of ``coxstat verify`` checks them against window
 enumeration on small ranks); exceptional factors fall back to the
-reflection-walk tally.  Root extraction for descent polynomials is
-exact integer arithmetic (square-free parts by gcds, Descartes' rule of
-signs with bisection, then sign bisection of each isolating interval)
-and only rounds at the very end.
+reflection-walk tally, read through the cache in tallies.  Root
+extraction for descent polynomials is exact integer arithmetic
+(square-free parts by gcds, Descartes' rule of signs with bisection,
+then sign bisection of each isolating interval) and only rounds at the
+very end.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import sub
 
 from .groups import as_descriptor, irreducible_degrees
 from .rings import _poly_divmod_int
-from .rootsys import cached_tally
+from .tallies import cached_tally
 
 __all__ = [
     "ExactPolynomial",

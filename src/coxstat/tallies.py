@@ -1,0 +1,142 @@
+"""Tally cache: exact histograms per process and, optionally, on disk.
+
+cached_tally returns the histogram of inv, des or des_plus_ides over one
+irreducible factor.  It looks in a per-process dict first, then in a
+binary file under $COXSTAT_CACHE/tallies (or an explicit directory).  A
+file is used only when its length, sum, symmetry, mean and variance can
+belong to the tally; otherwise, and on a miss, the reflection walk in
+rootsys computes the tally and the file is (re)written.
+
+This module imports no numpy: a hit costs a file read, and only a miss
+imports rootsys and with it the walk.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+from .groups import IrreducibleLabel, group_order, irreducible_degrees
+from .moments import double_eulerian_moments, eulerian_moments, mahonian_moments
+
+__all__ = ["cached_tally", "read_tally_file", "write_tally_file"]
+
+
+_MEMORY_TALLIES: dict[tuple[IrreducibleLabel, str], tuple[int, ...]] = {}
+
+_CACHE_ENV = "COXSTAT_CACHE"
+
+
+def _disk_cache_dir(cache_dir):
+    if cache_dir is not None:
+        return Path(cache_dir)
+    env = os.environ.get(_CACHE_ENV)
+    if env:
+        return Path(env) / "tallies"
+    return None
+
+
+def _tally_path(dirp, label, statistic):
+    safe = str(label).replace("(", "_").replace(")", "")
+    return dirp / f"{safe}.{statistic}.tally"
+
+
+def write_tally_file(path, counts):
+    """Length-prefixed little-endian big integers: u32 count, then per
+    coefficient a u32 byte length and the magnitude bytes."""
+    blob = bytearray(struct.pack("<I", len(counts)))
+    for c in counts:
+        if c < 0:
+            raise ValueError("tallies are nonnegative")
+        raw = c.to_bytes((c.bit_length() + 7) // 8 or 1, "little")
+        blob += struct.pack("<I", len(raw)) + raw
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_bytes(bytes(blob))
+    tmp.replace(path)
+
+
+def read_tally_file(path):
+    blob = path.read_bytes()
+    (count,) = struct.unpack_from("<I", blob, 0)
+    off = 4
+    out = []
+    for _ in range(count):
+        (ln,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        out.append(int.from_bytes(blob[off:off + ln], "little"))
+        off += ln
+    if off != len(blob):
+        raise ValueError(f"trailing bytes in tally file {path}")
+    return tuple(out)
+
+
+_CLOSED_MOMENTS = {
+    "inv": mahonian_moments,
+    "des": eulerian_moments,
+    "des_plus_ides": double_eulerian_moments,
+}
+
+
+def _tally_defect(label, statistic, counts):
+    """Why counts cannot be the tally of statistic over label, or None."""
+    degree = {
+        "inv": sum(d - 1 for d in irreducible_degrees(label)),
+        "des": label.rank,
+        "des_plus_ides": 2 * label.rank,
+    }[statistic]
+    if len(counts) != degree + 1:
+        return f"{len(counts)} coefficients, expected {degree + 1}"
+    order = group_order(label)
+    if sum(counts) != order:
+        return f"coefficients sum to {sum(counts)}, expected |W| = {order}"
+    if counts != counts[::-1]:
+        return "coefficients are not palindromic"
+    mean = Fraction(sum(k * c for k, c in enumerate(counts)), order)
+    var = Fraction(sum(k * k * c for k, c in enumerate(counts)), order) - mean ** 2
+    want = _CLOSED_MOMENTS[statistic](label)
+    if (mean, var) != want:
+        return (f"mean {mean} and variance {var}, expected {want[0]} "
+                f"and {want[1]}")
+    return None
+
+
+def cached_tally(label, statistic, cache_dir=None):
+    """statistics_tally with a process-level and optional disk cache.
+
+    A disk file that does not parse, or whose length, sum, symmetry,
+    mean or variance cannot belong to the tally, is rebuilt and
+    overwritten with a RuntimeWarning.
+    """
+    key = (label, statistic)
+    hit = _MEMORY_TALLIES.get(key)
+    if hit is not None:
+        return hit
+    dirp = _disk_cache_dir(cache_dir)
+    if dirp is not None:
+        path = _tally_path(dirp, label, statistic)
+        if path.exists():
+            try:
+                counts = read_tally_file(path)
+            except (struct.error, ValueError) as exc:
+                defect = f"unreadable ({exc})"
+            else:
+                defect = _tally_defect(label, statistic, counts)
+            if defect is None:
+                _MEMORY_TALLIES[key] = counts
+                return counts
+            # a "<...>" filename has no source line, so the warning prints
+            # as one line
+            warnings.warn_explicit(
+                f"rebuilding tally file {path}: {defect}", RuntimeWarning,
+                "<coxstat tally cache>", 0, module=__name__)
+    from .rootsys import build_root_system, statistics_tally
+
+    counts = statistics_tally(build_root_system(label), statistic)
+    _MEMORY_TALLIES[key] = counts
+    if dirp is not None:
+        write_tally_file(_tally_path(dirp, label, statistic), counts)
+    return counts

@@ -15,7 +15,8 @@ from coxstat.cli import main
 from coxstat.groups import parse_descriptor
 from coxstat.limits import clt_check_des, clt_check_inv, llt_sup_distance
 from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
-from coxstat.rootsys import write_tally_file
+from coxstat import tallies
+from coxstat.tallies import write_tally_file
 
 
 def run(capsys, *argv):
@@ -207,6 +208,25 @@ def test_clt_prints_integers_past_the_digit_limit(tmp_path):
     assert variance == Fraction(3, 4) + Fraction(sum(lcm // m for m in terms), lcm)
 
 
+@pytest.mark.parametrize("stat", ["des", "inv"])
+def test_clt_range_from_zero(capsys, stat):
+    # n = 0 leaves H3 alone, a valid group; the trend fit skips n = 0,
+    # where log n is undefined, and the table keeps its row
+    spec = "prod(A(i)^2, i=1..n) x H3"
+    rc, out, err = run(capsys, "clt", "--spec", spec, "--stat", stat, "--range", "0..12")
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert [row["n"] for row in doc["per_n"]] == list(range(13))
+    assert doc["per_n"][0]["rank"] == 3
+    rc, out, _ = run(capsys, "clt", "--spec", spec, "--stat", stat, "--range", "1..12")
+    assert rc == 0
+    assert doc["fitted_exponent"] == json.loads(out)["fitted_exponent"]
+    # with no n >= 1 in the range there is nothing to fit
+    rc, out, _ = run(capsys, "clt", "--spec", "A(n+8)", "--stat", stat, "--range=-6..0")
+    assert rc == 0
+    assert json.loads(out)["fitted_exponent"] == 0.0
+
+
 def test_clt_table_output(capsys):
     rc, out, _ = run(capsys, "clt", "--spec", "B(n)", "--stat", "des",
                      "--range", "10..16", "--emit", "table")
@@ -395,8 +415,11 @@ def test_verify_seed_does_not_change_outcome(capsys):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    rc, _, _ = run(capsys, "verify", "--suite", "nonsense")
+    rc, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "'quick'" in lines[0] and "'full'" in lines[0]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -425,3 +448,49 @@ def test_gf_round_trips_through_ingest(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     back = ingest(path, "histogram_json")
     assert back.histograms[3] == gf_des(parse_descriptor("B3")).coefficients
+
+
+# ---------------------------------------------------------------------------
+# cold start: commands that do not walk never import numpy
+
+_COLD = (
+    "import sys\n"
+    "from coxstat.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "sys.exit('numpy was imported' if 'numpy' in sys.modules else rc)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """A tally cache holding every tally the commands below read, and
+    an interp input file."""
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tallies, "_MEMORY_TALLIES", {})
+        for group, statistic in [("H3", "des"), ("A2", "des_plus_ides"),
+                                 ("B3", "des_plus_ides")]:
+            tallies.cached_tally(parse_descriptor(group).factors[0], statistic,
+                                 cache_dir=cache / "tallies")
+    write_values_doc(cache / "des.json", (4, 5, 6, 7))
+    return cache
+
+
+@pytest.mark.parametrize("argv", [
+    ["gf", "--group", "A5", "--stat", "des"],
+    ["gf", "--group", "A2 x B3", "--stat", "inv"],
+    ["gf", "--group", "A2 x B3", "--stat", "des+ides"],
+    ["gf", "--group", "H3", "--stat", "des"],
+    ["moments", "--group", "B4", "--stat", "des"],
+    ["llt", "--group", "E6", "--stat", "inv"],
+    ["clt", "--spec", "prod(I2(i), i=1..n)", "--stat", "des", "--range", "5..30"],
+    ["interp", "--input", "{cache}/des.json", "--format", "values_json"],
+    ["enumerate", "--group", "A4", "--limit", "10"],
+    ["--help"],
+], ids=" ".join)
+def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
+    argv = [a.replace("{cache}", str(filled_cache)) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _COLD, *argv],
+                          env=_cli_env(filled_cache), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

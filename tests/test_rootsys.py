@@ -21,16 +21,14 @@ from coxstat.rings import (
 from coxstat.rootsys import (
     ElementRecord,
     build_root_system,
-    cached_tally,
     compose_actions,
     element_actions,
     enumerate_inversion_sets,
     identity_action,
-    read_tally_file,
     simple_action,
     statistics_tally,
-    write_tally_file,
 )
+from coxstat.tallies import cached_tally, read_tally_file, write_tally_file
 
 
 # ---------------------------------------------------------------------------
@@ -310,25 +308,32 @@ def test_tally_file_round_trip(tmp_path):
     assert read_tally_file(path) == counts
 
 
+def test_rootsys_reexports_the_tally_cache():
+    from coxstat import rootsys, tallies
+
+    for name in ("cached_tally", "read_tally_file", "write_tally_file"):
+        assert getattr(rootsys, name) is getattr(tallies, name)
+
+
 def test_cached_tally_disk_and_memory(tmp_path):
     lab = irreducible("I2", 2, 6)
     a = cached_tally(lab, "des", cache_dir=tmp_path)
     files = list(tmp_path.glob("*.tally"))
     assert len(files) == 1
     # corrupt-resistant: re-read comes from disk on a fresh memory cache
-    from coxstat import rootsys
+    from coxstat import tallies
 
-    rootsys._MEMORY_TALLIES.pop((lab, "des"), None)
+    tallies._MEMORY_TALLIES.pop((lab, "des"), None)
     b = cached_tally(lab, "des", cache_dir=tmp_path)
     assert a == b == (1, 10, 1)
 
 
 def test_cache_env_variable(tmp_path, monkeypatch):
-    from coxstat import rootsys
+    from coxstat import tallies
 
     lab = irreducible("I2", 2, 11)
     monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
-    rootsys._MEMORY_TALLIES.pop((lab, "inv"), None)
+    tallies._MEMORY_TALLIES.pop((lab, "inv"), None)
     cached_tally(lab, "inv")
     assert list((tmp_path / "tallies").glob("*.tally"))
 
@@ -346,15 +351,15 @@ def _truncate(path):
 ], ids=["wrong length", "not palindromic", "wrong sum", "wrong variance",
         "truncated"])
 def test_cached_tally_rebuilds_corrupt_file(tmp_path, monkeypatch, corrupt):
-    from coxstat import rootsys
+    from coxstat import tallies
 
     lab = irreducible("H", 3)
-    monkeypatch.setattr(rootsys, "_MEMORY_TALLIES", {})
+    monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
     want = cached_tally(lab, "des", cache_dir=tmp_path)
     assert want == (1, 59, 59, 1)
     path = tmp_path / "H3.des.tally"
     corrupt(path)
-    monkeypatch.setattr(rootsys, "_MEMORY_TALLIES", {})
+    monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
     with pytest.warns(RuntimeWarning, match="H3.des.tally"):
         assert cached_tally(lab, "des", cache_dir=tmp_path) == want
     assert read_tally_file(path) == want
