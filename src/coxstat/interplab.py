@@ -9,12 +9,15 @@ three-significant-figure table style used throughout the docs, so rows
 are string-comparable in tests.
 
 Formula guessing searches V = f(n) / (a n + b)^c over the small grid
-a, b in {0, +-1, +-2}, c in 0..5: each candidate multiplies the data by
-the denominator, interpolates f exactly, and is accepted only when
-deg f is at least three below the number of points and the formula
-reproduces every point.  Candidates are reduced (denominator factors
-dividing f exactly are cancelled), sign- and gcd-normalized, then
-deduplicated, so equivalent parameterizations collapse to one entry.
+a, b in {0, +-1, +-2}, c in 0..5.  The nodes are the same for every
+candidate, so one integer Lagrange basis is built per call; a candidate
+multiplies the data by its denominator, and f, scaled to integer
+coefficients, is an integer combination of that basis.  It is accepted
+only when deg f is at least three below the number of points and the
+formula reproduces every point.  Candidates are reduced (denominator
+factors dividing f exactly are cancelled), sign- and gcd-normalized,
+then deduplicated, so equivalent parameterizations collapse to one
+entry.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul, sub
 from pathlib import Path
 
 from .elements import SignedPermutation, des_count, ides_count, inv_count, iter_windows
@@ -270,7 +274,10 @@ class RationalFormula:
     c: int
 
     def evaluate(self, n):
-        num = sum(co * Fraction(n) ** k for k, co in enumerate(self.numerator))
+        n = Fraction(n)
+        num = Fraction(0)
+        for co in reversed(self.numerator):
+            num = num * n + co
         if self.c == 0:
             return num
         return num / Fraction(self.a * n + self.b) ** self.c
@@ -317,22 +324,25 @@ def _poly_str(coeffs):
     return f"({body})/{scale}" if len(parts) > 1 else f"{body}/{scale}"
 
 
-def _interpolate(points):
-    """Newton divided differences, expanded to monomial coefficients."""
-    xs = [Fraction(n) for n, _ in points]
-    coef = [Fraction(v) for _, v in points]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [coef[-1]]
-    for i in range(len(points) - 2, -1, -1):
-        poly = [Fraction(0)] + poly
-        for k in range(len(poly) - 1):
-            poly[k] -= xs[i] * poly[k + 1]
-        poly[0] += coef[i]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
+def _lagrange_basis(xs):
+    """Integer Lagrange basis on distinct integer nodes.
+
+    Returns B_i(x) = prod_{j != i} (x - x_j) as coefficient lists,
+    constant first, by synthetic division of the node polynomial, and
+    the weights w_i = B_i(x_i); the interpolant of y is sum y_i B_i / w_i.
+    """
+    node = [1]
+    for x in xs:
+        node = list(map(sub, [0, *node], [x * co for co in node] + [0]))
+    basis = []
+    for x in xs:
+        acc, quot = 0, []
+        for co in reversed(node[1:]):
+            acc = co + x * acc
+            quot.append(acc)
+        basis.append(quot[::-1])
+    weights = [math.prod(x - y for y in xs if y != x) for x in xs]
+    return basis, weights
 
 
 def _divide_linear(coeffs, a, b):
@@ -348,19 +358,35 @@ def _divide_linear(coeffs, a, b):
 def lagrange_guess(points, target="variance"):
     """Rational-form candidates reproducing the points exactly.
 
-    points are (n, exact value) pairs, at least four with distinct n.
+    points are (n, exact value) pairs, at least four with distinct
+    integral n.
     A candidate (a, b, c) is accepted when the interpolated numerator
     has degree at most len(points) - 3; results come back reduced,
     normalized, deduplicated, and sorted by (c, |a|, |b|, degree).
     """
     if target not in ("mean", "variance"):
         raise ValueError("target must be mean or variance")
-    pts = sorted((int(n), Fraction(v)) for n, v in points)
+    pts = []
+    for n, v in points:
+        if n != int(n):
+            raise ValueError(f"n must be an integer, got {n}")
+        pts.append((int(n), Fraction(v)))
+    pts.sort()
     if len(pts) < 4:
         raise ValueError("need at least 4 points")
-    if len({n for n, _ in pts}) != len(pts):
+    xs = [n for n, _ in pts]
+    if len(set(xs)) != len(xs):
         raise ValueError("points must have distinct n")
     margin = len(pts) - 3
+    # with L = scale_l = lcm |w_i| and D = scale_d = lcm of the value
+    # denominators, the interpolant f of a candidate (a, b, c) satisfies
+    # L D f = sum_i (D v_i) (L / w_i) (a x_i + b)^c B_i, all in integers
+    basis, weights = _lagrange_basis(xs)
+    scale_l = math.lcm(*weights)
+    scale_d = math.lcm(*(v.denominator for _, v in pts))
+    units = [v.numerator * (scale_d // v.denominator) * (scale_l // w)
+             for (_, v), w in zip(pts, weights)]
+    columns = list(zip(*basis))
     found = {}
     for c in range(6):
         # a = 0 with c > 0 is a constant denominator: normalized to c = 0,
@@ -368,12 +394,16 @@ def lagrange_guess(points, target="variance"):
         grid = [(0, 0)] if c == 0 else [
             (a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 0, 1, 2)]
         for a, b in grid:
-            if c > 0 and any(a * n + b == 0 for n, _ in pts):
+            if c > 0 and any(a * n + b == 0 for n in xs):
                 continue
-            weighted = [(n, v * Fraction(a * n + b) ** c) for n, v in pts]
-            poly = _interpolate(weighted)
-            if len(poly) - 1 > margin:
+            ys = [u * (a * x + b) ** c for u, x in zip(units, xs)]
+            # leading coefficients first: most candidates fail here
+            if any(sum(map(mul, ys, col)) for col in columns[:margin:-1]):
                 continue
+            poly = [Fraction(sum(map(mul, ys, col)), scale_l * scale_d)
+                    for col in columns[:margin + 1]]
+            while len(poly) > 1 and poly[-1] == 0:
+                poly.pop()
             fa, fb, fc = a, b, c
             while fc > 0:
                 quot, rem = _divide_linear(poly, fa, fb)
@@ -393,9 +423,12 @@ def lagrange_guess(points, target="variance"):
                     fa //= g
                     fb //= g
                     poly = [co / g ** fc for co in poly]
+            key = (fa, fb, fc, tuple(poly))
+            if key in found:
+                continue
             formula = RationalFormula(tuple(poly), fa, fb, fc)
             if all(formula.evaluate(n) == v for n, v in pts):
-                found.setdefault((fa, fb, fc, tuple(poly)), formula)
+                found[key] = formula
     return sorted(found.values(),
                   key=lambda f: (f.c, abs(f.a), abs(f.b), f.degree, f.numerator))
 

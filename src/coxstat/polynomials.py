@@ -2,15 +2,16 @@
 
 gf_inv is the product of z-integers over the degrees, so it never needs
 enumeration; each factor [d]_z is applied as a running window sum of
-the coefficients, linear in their number.  gf_des uses classical
-recurrences for types A, B and the B-to-D relation for type D (the
+the coefficients, linear in their number.  gf_des builds the type A and
+B rows from power sums (half of sum_k (ck + 1)^e t^k, repeatedly
+differenced, then mirrored) and type D by the B-to-D relation (the
 gf-des suite of ``coxstat verify`` checks them against window
-enumeration on small ranks); exceptional factors fall back to the
-reflection-walk tally, read through the cache in tallies.  Root
-extraction for descent polynomials is exact integer arithmetic
-(square-free parts by gcds, Descartes' rule of signs with bisection,
-then sign bisection of each isolating interval) and only rounds at the
-very end.
+enumeration on small ranks and against the closed-form moments at rank
+about 100); exceptional factors fall back to the reflection-walk tally,
+read through the cache in tallies.  Root extraction for descent
+polynomials is exact integer arithmetic (square-free parts by gcds,
+Descartes' rule of signs with bisection, then sign bisection of each
+isolating interval) and only rounds at the very end.
 """
 
 from __future__ import annotations
@@ -132,16 +133,19 @@ def gf_inv(d):
 # descent generating functions
 
 def _eulerian_row(c, n):
-    """Descent tally of A_n (c = 1) or B_n (c = 2) by the Eulerian recurrence.
+    """Descent tally of A_n (c = 1) or B_n (c = 2) from power sums.
 
-    row_N[k] = (ck + 1) row_{N-1}[k] + (c(N - k) + 1) row_{N-1}[k - 1].
+    sum_k (ck + 1)^e t^k = row(t) / (1 - t)^(e + 1), with e = n + 1 for
+    A_n, whose row is that of S_(n+1) (Worpitzky), and e = n for B_n
+    (Brenti, Europ. J. Combin. 15, 1994).  Each factor (1 - t) is a
+    running difference; rows are palindromic, so only the first half
+    of the power sums is differenced, then mirrored.
     """
-    row = [1]
-    for N in range(1, n + 1):
-        prev = row + [0]  # prev[N] = 0 and, for k = 0, prev[k - 1] = 0
-        row = [(c * k + 1) * prev[k] + (c * (N - k) + 1) * prev[k - 1]
-               for k in range(N + 1)]
-    return row
+    e = n + 1 if c == 1 else n
+    half = [(c * k + 1) ** e for k in range(n // 2 + 1)]
+    for _ in range(e + 1):
+        half = [half[0], *map(sub, half[1:], half)]
+    return half + half[::-1][1 - n % 2:]  # the middle entry once when n is even
 
 
 def _descent_row_d(n):

@@ -1,11 +1,13 @@
 """Self-check suites behind the ``verify`` subcommand.
 
 Every check compares two independent routes to the same numbers:
-closed forms against brute enumeration, fast recurrences against
-window enumeration and the reflection walk, limit-sweep rows against
-one descriptor per row, emitted files against re-ingestion.  Production runs none of these; they live here and in
-the tests.  A check prints one ``ok``/``FAIL`` line; the runner returns
-the failure count so the CLI can exit nonzero without raising.
+closed forms against brute enumeration, descent rows against window
+enumeration, the reflection walk and the closed-form moments,
+limit-sweep rows against one descriptor per row, guessed formulas
+against known variances, emitted files against re-ingestion.
+Production runs none of these; they live here and in the tests.  A
+check prints one ``ok``/``FAIL`` line; the runner returns the failure
+count so the CLI can exit nonzero without raising.
 
 Suites: quick, gf-inv, gf-des, moments, roots, cosets, limits, interp,
 and full (everything except quick).  The seed only affects the random
@@ -35,7 +37,13 @@ from .elements import (
     window_tally,
 )
 from .groups import degrees, group_order, m_max, parse_descriptor, rank
-from .interplab import builtin_dataset, ingest, lagrange_guess, summarize
+from .interplab import (
+    StatisticDataset,
+    builtin_dataset,
+    ingest,
+    lagrange_guess,
+    summarize,
+)
 from .limits import (
     clt_check_des,
     clt_check_inv,
@@ -115,14 +123,23 @@ def _suite_gf_des(rng):
             got = gf_des(parse_descriptor(f"{family}{n}")).coefficients
             length = n + 1 if family == "A" else n
             want = window_tally(family, length, des_count)
-            yield _eq(f"gf-des: {family}{n} recurrence matches the window tally",
+            yield _eq(f"gf-des: {family}{n} row matches the window tally",
                       got, want)
     for text in ["A5", "B4", "D5", "I2(8)"]:
         d = parse_descriptor(text)
         got = gf_des(d).coefficients
         want = statistics_tally(build_root_system(d.factors[0]), "des")
-        yield _eq(f"gf-des: {text} recurrence matches the reflection walk",
+        yield _eq(f"gf-des: {text} row matches the reflection walk",
                   got, want)
+    for text in ["A101", "B100", "D101"]:
+        d = parse_descriptor(text)
+        f = gf_des(d)
+        s = moments_from_polynomial(f, k_max=2)
+        ok = (f(1) == group_order(d) and structural_checks(f).palindromic
+              and (s.mean, s.variance) == eulerian_moments(d))
+        yield (f"gf-des: {text} row sums to the group order, is palindromic "
+               "and has the closed-form mean and variance", ok,
+               f"mean {s.mean}, variance {s.variance}")
     yield _eq("gf-des: I2(9) closed row", gf_des(parse_descriptor("I2(9)")).coefficients,
               (1, 16, 1))
     for text in ["E6", "H4"]:
@@ -353,6 +370,12 @@ def _suite_interp(rng):
     formulas = lagrange_guess(points, target="variance")
     yield _eq("interp: descent variance recovery from built-in data",
               [str(f) for f in formulas], ["(n + 2)/12"])
+    ds = StatisticDataset("inv", {n: gf_inv(parse_descriptor(f"A{n - 1}")).coefficients
+                                  for n in range(2, 9)})
+    points = [(row.n, row.variance) for row in summarize(ds, k_max=2)]
+    yield _eq("interp: S_n inversion variance recovery from gf_inv histograms",
+              [str(f) for f in lagrange_guess(points)],
+              ["(2*n^3 + 3*n^2 - 5*n)/72"])
     ds = builtin_dataset("fixed_points", sizes=(5,))
     yield _eq("interp: fixed-point histogram of S5",
               ds.histograms[5], (44, 45, 20, 10, 0, 1))

@@ -2,11 +2,14 @@
 
 Everything here is deliberately written from the bare definitions, without
 importing the package under test: plain window enumeration, quadratic loops
-for the statistics, breadth-first closure for subgroups and double cosets.
+for the statistics, breadth-first closure for subgroups and double cosets,
+the Eulerian recurrence for descent rows and Newton interpolation for
+formula guessing.
 Slow is fine; these exist so the fast paths have something honest to match.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -193,6 +196,93 @@ def orbit_count(elements, step_funcs):
                         nxt.append(y)
             frontier = nxt
     return orbits
+
+
+# ---------------------------------------------------------------------------
+# reference routes for the exact kernels
+
+def eulerian_rows(c, n):
+    """Descent tallies of A_0..A_n (c = 1) or B_0..B_n (c = 2), indexed by
+    rank, by the Eulerian recurrence
+    row_N[k] = (ck + 1) row_{N-1}[k] + (c(N - k) + 1) row_{N-1}[k - 1]."""
+    rows = [[1]]
+    for N in range(1, n + 1):
+        prev = rows[-1] + [0]  # prev[N] = 0 and, for k = 0, prev[k - 1] = 0
+        rows.append([(c * k + 1) * prev[k] + (c * (N - k) + 1) * prev[k - 1]
+                     for k in range(N + 1)])
+    return rows
+
+
+def descent_rows_d(n):
+    """Descent tallies of D_4..D_n by D_m = B_m - m 2^(m-1) t A_(m-2)."""
+    a_rows, b_rows = eulerian_rows(1, n - 2), eulerian_rows(2, n)
+    out = {}
+    for m in range(4, n + 1):
+        row = list(b_rows[m])
+        for k, c in enumerate(a_rows[m - 2]):
+            row[k + 1] -= m * 2 ** (m - 1) * c
+        out[m] = row
+    return out
+
+
+def interpolate(points):
+    """Newton divided differences, expanded to monomial coefficients."""
+    xs = [Fraction(n) for n, _ in points]
+    coef = [Fraction(v) for _, v in points]
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [coef[-1]]
+    for i in range(len(points) - 2, -1, -1):
+        poly = [Fraction(0)] + poly
+        for k in range(len(poly) - 1):
+            poly[k] -= xs[i] * poly[k + 1]
+        poly[0] += coef[i]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def guess_formulas(points):
+    """V = f(n) / (a n + b)^c candidates as (numerator, a, b, c) tuples,
+    one Newton interpolation per candidate, reduced, normalized, checked
+    at every point and ordered as lagrange_guess documents them."""
+    pts = sorted((int(n), Fraction(v)) for n, v in points)
+    margin = len(pts) - 3
+    found = {}
+    for c in range(6):
+        grid = [(0, 0)] if c == 0 else [
+            (a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 0, 1, 2)]
+        for a, b in grid:
+            if c > 0 and any(a * n + b == 0 for n, _ in pts):
+                continue
+            poly = interpolate([(n, v * Fraction(a * n + b) ** c) for n, v in pts])
+            if len(poly) - 1 > margin:
+                continue
+            fa, fb, fc = a, b, c
+            while fc > 0 and len(poly) > 1:
+                # synthetic division by (fa n + fb)
+                quot = [Fraction(0)] * (len(poly) - 1)
+                rem = poly[-1]
+                for k in range(len(poly) - 2, -1, -1):
+                    quot[k] = rem / fa
+                    rem = poly[k] - quot[k] * fb
+                if rem != 0:
+                    break
+                poly, fc = quot, fc - 1
+            if fc == 0:
+                fa = fb = 0
+            elif fa < 0:
+                poly = [-co for co in poly] if fc % 2 else poly
+                fa, fb = -fa, -fb
+            g = math.gcd(fa, fb)
+            if fc > 0 and g > 1:
+                fa, fb = fa // g, fb // g
+                poly = [co / g ** fc for co in poly]
+            if all(sum(co * Fraction(n) ** k for k, co in enumerate(poly))
+                   == v * Fraction(fa * n + fb) ** fc for n, v in pts):
+                found.setdefault((tuple(poly), fa, fb, fc), None)
+    return sorted(found, key=lambda f: (f[3], abs(f[1]), abs(f[2]), len(f[0]), f[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dataset ingestion, moment tables, and rational-formula guessing."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -242,6 +243,49 @@ class TestLagrangeGuess:
             lagrange_guess(pts + [(0, Fraction(5))])
         with pytest.raises(ValueError, match="target"):
             lagrange_guess(pts, target="mode")
+
+    def test_rejects_non_integral_n(self):
+        points = [(Fraction(5, 2), 1), (3, Fraction(5, 12)), (4, Fraction(1, 2)),
+                  (5, Fraction(7, 12)), (6, Fraction(2, 3))]
+        with pytest.raises(ValueError, match="5/2"):
+            lagrange_guess(points)
+        with pytest.raises(ValueError, match="2.5"):
+            lagrange_guess([(2.5, 1)] + points[1:])
+        # integral Fractions and floats are still nodes
+        exact = [(n, Fraction(n + 2, 12)) for n in range(2, 7)]
+        mixed = [(Fraction(n), v) if n % 2 else (float(n), v) for n, v in exact]
+        assert lagrange_guess(mixed) == lagrange_guess(exact)
+        assert [str(f) for f in lagrange_guess(mixed)] == ["(n + 2)/12"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_newton_reference(self, seed):
+        rng = random.Random(seed)
+        for trial in range(25):
+            k = rng.randint(4, 9)
+            start = rng.randint(-8, 8)
+            xs = list(range(start, start + k)) if trial % 2 else sorted(
+                rng.sample(range(-12, 16), k))
+            kind = trial % 5
+            if kind == 0:
+                values = [0] * k
+            elif kind == 1:
+                values = [rng.uniform(-3, 3) for _ in xs]
+            elif kind == 2:
+                values = [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                          for _ in xs]
+            else:
+                # f(n) / (a n + b)^c, with a free value where a n + b = 0
+                f = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                     for _ in range(rng.randint(1, k - 2))]
+                a, b = rng.choice([-2, -1, 1, 2, 3]), rng.randint(-3, 3)
+                c = rng.randint(0, 3)
+                values = [sum(co * x ** i for i, co in enumerate(f))
+                          / Fraction(a * x + b) ** c if a * x + b
+                          else Fraction(rng.randint(-5, 5)) for x in xs]
+            points = list(zip(xs, values))
+            rng.shuffle(points)
+            got = [(f.numerator, f.a, f.b, f.c) for f in lagrange_guess(points)]
+            assert got == oracles.guess_formulas(points), points
 
     def test_inconsistent_data_finds_nothing(self):
         # degree-5 interpolant through 6 points has no margin

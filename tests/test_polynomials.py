@@ -174,6 +174,23 @@ def test_gf_des_recurrences_match_reflection_walk():
         assert got == want, text
 
 
+@pytest.mark.parametrize("c", [1, 2])
+def test_eulerian_rows_match_the_recurrence(c):
+    # power-sum differences against the Eulerian recurrence, both
+    # parities of the mirror and the ranks the benchmarks reach
+    from coxstat.polynomials import _eulerian_row
+
+    want = oracles.eulerian_rows(c, 301)
+    for n in [*range(81), 150, 301]:
+        assert _eulerian_row(c, n) == want[n], (c, n)
+
+
+def test_gf_des_type_d_matches_the_b_minus_a_relation():
+    want = oracles.descent_rows_d(120)
+    for n in range(4, 121):
+        assert list(gf_des(f"D{n}").coefficients) == want[n], n
+
+
 def test_verify_gf_des_catches_a_wrong_recurrence(monkeypatch):
     import coxstat.polynomials as polynomials
 
