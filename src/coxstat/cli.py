@@ -17,6 +17,7 @@ reach the walk only through a miss of the tally cache.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -210,7 +211,7 @@ def _cmd_enumerate(args, stream):
     limit = args.limit
     if label.family in ("A", "B", "D"):
         length = label.rank + 1 if label.family == "A" else label.rank
-        for window in iter_windows(label.family, length, start=0, stop=limit):
+        for window in itertools.islice(iter_windows(label.family, length), limit):
             p = SignedPermutation(window, label.family)
             print(f"{to_one_line(p)} inv={inv_count(p)} des={des_count(p)} "
                   f"ides={ides_count(p)}", file=stream)

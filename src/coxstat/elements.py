@@ -15,6 +15,7 @@ for A this leaves only positions 1..n-1) or w(0) = -w(2) (type D).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import factorial
@@ -35,7 +36,6 @@ __all__ = [
     "all_positive_roots",
     "st_count",
     "iter_windows",
-    "window_at",
     "window_count",
     "window_tally",
     "enumerate_elements",
@@ -256,69 +256,17 @@ def window_count(family, length):
     return total
 
 
-def _perm_at(length, index):
-    # factorial number system unranking over sorted values
-    avail = list(range(1, length + 1))
-    out = []
-    for k in range(length, 0, -1):
-        f = factorial(k - 1)
-        pos, index = divmod(index, f)
-        out.append(avail.pop(pos))
-    return tuple(out)
-
-
-def _signs_at(family, length, index):
+def iter_windows(family, length):
+    """Windows in lexicographic (sign pattern, permutation) order."""
+    base = range(1, length + 1)
     if family == "A":
-        return (1,) * length
-    bits = length if family == "B" else length - 1
-    pattern = []
-    for b in range(bits - 1, -1, -1):
-        pattern.append(-1 if (index >> b) & 1 else 1)
-    if family == "D":
-        neg = sum(1 for s in pattern if s < 0)
-        pattern.append(-1 if neg % 2 == 1 else 1)
-    return tuple(pattern)
-
-
-def window_at(family, length, index):
-    """The index-th window in enumeration order; supports range splitting."""
-    total = window_count(family, length)
-    if not 0 <= index < total:
-        raise IndexError(f"index {index} out of range for {total} windows")
-    nperm = factorial(length)
-    sidx, pidx = divmod(index, nperm)
-    signs = _signs_at(family, length, sidx)
-    perm = _perm_at(length, pidx)
-    return tuple(s * v for s, v in zip(signs, perm))
-
-
-def iter_windows(family, length, start=0, stop=None):
-    """Windows in lexicographic (sign pattern, permutation) order.
-
-    start/stop index into that order, so disjoint ranges partition the
-    group exactly.
-    """
-    import itertools
-
-    total = window_count(family, length)
-    if stop is None:
-        stop = total
-    stop = min(stop, total)
-    if start < 0 or start > stop:
-        raise IndexError(f"bad range {start}..{stop} for {total} windows")
-    if start == 0 and stop == total:
-        base = range(1, length + 1)
-        if family == "A":
-            yield from itertools.permutations(base)
-            return
-        for signs in itertools.product((1, -1), repeat=length):
-            if family == "D" and sum(1 for s in signs if s < 0) % 2 == 1:
-                continue
-            for p in itertools.permutations(base):
-                yield tuple(s * v for s, v in zip(p, signs))
+        yield from itertools.permutations(base)
         return
-    for index in range(start, stop):
-        yield window_at(family, length, index)
+    for signs in itertools.product((1, -1), repeat=length):
+        if family == "D" and sum(1 for s in signs if s < 0) % 2 == 1:
+            continue
+        for p in itertools.permutations(base):
+            yield tuple(s * v for s, v in zip(p, signs))
 
 
 def window_tally(family, length, statfn):
@@ -341,13 +289,14 @@ def _family_window_length(d):
     raise ValueError(f"{lab} has no window model; only families A, B, D do")
 
 
-def enumerate_elements(d, start=0, stop=None, cap=DEFAULT_ELEMENT_CAP):
+def enumerate_elements(d):
     """SignedPermutations of an irreducible classical descriptor, in order."""
     family, length = _family_window_length(d)
     order = group_order(d)
-    if order > cap:
-        raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
-    for w in iter_windows(family, length, start, stop):
+    if order > DEFAULT_ELEMENT_CAP:
+        raise ValueError(
+            f"group order {order} exceeds enumeration cap {DEFAULT_ELEMENT_CAP}")
+    for w in iter_windows(family, length):
         yield SignedPermutation(w, family)
 
 

@@ -34,6 +34,7 @@ from pathlib import Path
 from .elements import SignedPermutation, des_count, ides_count, inv_count, iter_windows
 from .moments import moments_from_polynomial
 from .polynomials import ExactPolynomial
+from .tallies import write_atomically
 
 __all__ = [
     "StatisticDataset",
@@ -97,6 +98,16 @@ def _check_declared_order(group, n, count):
         )
 
 
+def _histogram_row(n, row):
+    """JSON integers, or decimal strings for counts too wide for a double."""
+    if isinstance(row, list):
+        try:
+            return tuple(c if isinstance(c, int) else int(c, 10) for c in row)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"histogram at n = {n} must be a list of integers")
+
+
 def ingest(path, format):
     """Read a dataset file in one of INGEST_FORMATS."""
     if format not in INGEST_FORMATS:
@@ -118,8 +129,10 @@ def ingest(path, format):
         values = {}
         for key, row in rows.items():
             n = int(key)
-            if not all(isinstance(v, int) and v >= 0 for v in row):
-                raise ValueError(f"non-integer statistic value at n = {n}")
+            if not (isinstance(row, list)
+                    and all(isinstance(v, int) and v >= 0 for v in row)):
+                raise ValueError(
+                    f"values at n = {n} must be a list of nonnegative integers")
             _check_declared_order(group, n, len(row))
             values[n] = tuple(row)
         hists = {n: _tally(v) for n, v in values.items()}
@@ -127,7 +140,7 @@ def ingest(path, format):
     hists = {}
     for key, row in rows.items():
         n = int(key)
-        hists[n] = tuple(int(c) for c in row)
+        hists[n] = _histogram_row(n, row)
         _check_declared_order(group, n, sum(hists[n]))
     return StatisticDataset(name, hists, {}, group)
 
@@ -470,8 +483,5 @@ def fetch_findstat(statistic_id, cache_dir=None):
                 f"download failed ({exc}); install the findstat extra and "
                 "retry online, or pre-seed the cache"
             ) from exc
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+        write_atomically(path, payload)
     return ingest(path, "findstat_csv")

@@ -63,9 +63,6 @@ __all__ = [
     "llt_sup_distance",
 ]
 
-VERDICTS = ("tends_to_zero", "tends_to_infinity", "bounded", "inconclusive")
-
-
 # ---------------------------------------------------------------------------
 # expression grammar
 
@@ -658,7 +655,8 @@ def clt_check_des(spec, n_range):
     Reports the s_n trend plus the two sufficient conditions it can
     detect: the non-dihedral part's rank growing without bound, and the
     divergence of the sum of 1/m over dihedral factors (computed on raw
-    pre-normalization edge labels).
+    pre-normalization edge labels).  A detected condition that contradicts
+    a bounded trend leaves the verdict inconclusive and clt_holds None.
     """
     spec = _spec_of(spec)
     ns = _range_list(n_range)
@@ -715,12 +713,13 @@ def clt_check_des(spec, n_range):
         b = sum_trend.verdict == "tends_to_infinity"
         b_known = sum_trend.verdict != "inconclusive"
     holds = {"tends_to_infinity": True, "inconclusive": None}.get(trend.verdict, False)
-    # consistency: a detected sufficient condition must mean divergence
+    # a detected sufficient condition contradicts a bounded trend; neither
+    # numeric diagnostic is a proof, so the verdict stays open
     if (a1 or (b_known and b)) and holds is False:
-        raise RuntimeError(
-            "inconsistent diagnostics: a sufficient divergence condition "
-            "was detected but the variance trend says bounded"
-        )
+        trend = _override(trend, "inconclusive",
+                          "a sufficient divergence condition contradicts the "
+                          f"{trend.verdict} trend")
+        holds = None
     ranks = [r for _, r, _ in per_n]
     return EulerianCltReport(
         spec_text=spec.source_text,

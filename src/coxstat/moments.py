@@ -55,32 +55,27 @@ def mahonian_moments(d):
     return mean, var
 
 
+def _bernoulli(k_max):
+    """B_0..B_k_max (B_1 = -1/2) from sum_{j<=m} C(m+1, j) B_j = 0."""
+    out = [Fraction(1)]
+    for m in range(1, k_max + 1):
+        out.append(-sum(comb(m + 1, j) * b for j, b in enumerate(out)) / (m + 1))
+    return out
+
+
 def mahonian_cumulants(d, k_max=6):
     """Cumulants of inv for orders 2..k_max.
 
-    Orders up to 6 come from the uniform-summand expansions
-    kappa_2 = sum(d^2-1)/12, kappa_4 = -sum(d^4-1)/120,
-    kappa_6 = sum(d^6-1)/252, odd orders vanishing by symmetry; higher
-    orders fall back to the histogram route.
+    A uniform summand on {0, ..., d-1} has k-th cumulant
+    B_k (d^k - 1) / k for k >= 2, so kappa_k = (B_k / k) sum(d^k - 1)
+    over the degrees; odd orders vanish with B_k.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    if k_max > 6:
-        from .polynomials import gf_inv
-
-        return moments_from_polynomial(gf_inv(d), k_max).cumulants
     degs = degrees(as_descriptor(d))
-    out = {}
-    for k in range(2, k_max + 1):
-        if k % 2 == 1:
-            out[k] = Fraction(0)
-        elif k == 2:
-            out[k] = Fraction(sum(v ** 2 - 1 for v in degs), 12)
-        elif k == 4:
-            out[k] = Fraction(-sum(v ** 4 - 1 for v in degs), 120)
-        else:
-            out[k] = Fraction(sum(v ** 6 - 1 for v in degs), 252)
-    return out
+    bern = _bernoulli(k_max)
+    return {k: bern[k] / k * sum(v ** k - 1 for v in degs)
+            for k in range(2, k_max + 1)}
 
 
 def second_moment_inv_type_b(n):

@@ -43,7 +43,6 @@ import numpy as np
 from .groups import (
     IrreducibleLabel,
     coxeter_edges,
-    descriptor,
     factor_m_max,
     group_order,
     irreducible_degrees,
@@ -193,16 +192,7 @@ def _inversion_keys(acts):
     return np.ascontiguousarray(packed).view("<u8").reshape(nrows, words)
 
 
-def _check_cap(label, cap):
-    order = group_order(descriptor(label))
-    if order > cap:
-        raise ValueError(
-            f"group order {order} of {label} exceeds enumeration cap {cap}"
-        )
-    return order
-
-
-def _bfs_levels(rs, cap):
+def _bfs_levels(rs):
     """Yield (length, acts) per level of the right weak order, each element once.
 
     Canonical generation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
@@ -211,7 +201,11 @@ def _bfs_levels(rs, cap):
     descent of w*s.  Since act_ws[t] = act_w[perm_s[t]], the second test
     reads act_w alone.  Rows within a level come in generation order.
     """
-    order = _check_cap(rs.label, cap)
+    order = group_order(rs.label)
+    if order > DEFAULT_ENUM_CAP:
+        raise ValueError(
+            f"group order {order} of {rs.label} exceeds enumeration cap {DEFAULT_ENUM_CAP}"
+        )
     n = rs.rank
     N = rs.root_count
     dtype = np.int8 if N <= 126 else np.int16
@@ -241,24 +235,24 @@ def _bfs_levels(rs, cap):
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
 
 
-def _sorted_levels(rs, cap):
+def _sorted_levels(rs):
     """Yield (length, acts, keys) per level, rows in inversion-set order.
 
     lexsort's last key is its primary one, so the rows of keys.T run from
     the lowest word to the highest and the bitsets compare as integers.
     """
-    for length, acts in _bfs_levels(rs, cap):
+    for length, acts in _bfs_levels(rs):
         keys = _inversion_keys(acts)
         by_set = np.lexsort(keys.T)
         yield length, acts[by_set], keys[by_set]
 
 
-def enumerate_inversion_sets(rs, cap=DEFAULT_ENUM_CAP):
+def enumerate_inversion_sets(rs):
     """ElementRecords in (length, inversion set) order; each level is sorted
     by its packed inversion bitsets."""
     n = rs.rank
     simple_mask = (1 << n) - 1
-    for length, acts, keys in _sorted_levels(rs, cap):
+    for length, acts, keys in _sorted_levels(rs):
         left = np.zeros(len(acts), dtype=np.int64)
         for j in range(n):
             left |= (acts == -(j + 1)).any(axis=1).astype(np.int64) << j
@@ -275,7 +269,7 @@ def enumerate_inversion_sets(rs, cap=DEFAULT_ENUM_CAP):
             )
 
 
-def statistics_tally(rs, statistic, cap=DEFAULT_ENUM_CAP):
+def statistics_tally(rs, statistic):
     """Exact histogram of inv, des, or des_plus_ides over the whole group."""
     if statistic not in TALLY_STATISTICS:
         raise ValueError(f"statistic must be one of {TALLY_STATISTICS}, got {statistic!r}")
@@ -283,12 +277,12 @@ def statistics_tally(rs, statistic, cap=DEFAULT_ENUM_CAP):
     N = rs.root_count
     if statistic == "inv":
         counts = [0] * (N + 1)
-        for length, acts in _bfs_levels(rs, cap):
+        for length, acts in _bfs_levels(rs):
             counts[length] = int(len(acts))
         return tuple(counts)
     size = n + 1 if statistic == "des" else 2 * n + 1
     counts = np.zeros(size, dtype=np.int64)
-    for _, acts in _bfs_levels(rs, cap):
+    for _, acts in _bfs_levels(rs):
         neg = acts < 0
         vals = neg[:, :n].sum(axis=1)
         if statistic == "des_plus_ides":
@@ -318,8 +312,8 @@ def compose_actions(u, v):
     return tuple(out)
 
 
-def element_actions(rs, cap=DEFAULT_ENUM_CAP):
+def element_actions(rs):
     """All action vectors, in (length, inversion set) order."""
-    for _, acts, _ in _sorted_levels(rs, cap):
+    for _, acts, _ in _sorted_levels(rs):
         for row in acts:
             yield tuple(int(x) for x in row)

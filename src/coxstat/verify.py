@@ -90,6 +90,19 @@ def _close(name, got, want, tol):
     return (name, err <= tol, f"got {got!r}, want {want!r} within {tol}")
 
 
+def _histogram_round_trip(name, group, n):
+    """The descent histogram of group, written as histogram_json under key
+    n with decimal-string counts, must read back unchanged."""
+    f = gf_des(parse_descriptor(group))
+    doc = {"statistic": "des",
+           "histogram": {str(n): [str(c) for c in f.coefficients]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "roundtrip.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        back = ingest(path, "histogram_json")
+    return _eq(name, back.histograms[n], f.coefficients)
+
+
 _WINDOW_CASES = [("A4", "A", 5), ("B3", "B", 3), ("D4", "D", 4)]
 
 
@@ -382,15 +395,8 @@ def _suite_interp(rng):
     row = summarize(ds)[0]
     yield _eq("interp: S5 fixed-point cumulant row",
               row.formatted, ("1.00", "1.00", "1.00", "0.000", "-14.0", "-118."))
-    f = gf_des(parse_descriptor("A4"))
-    doc = {"statistic": "des",
-           "histogram": {"5": [str(c) for c in f.coefficients]}}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "roundtrip.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        back = ingest(path, "histogram_json")
-    yield _eq("interp: emitted histogram round-trips through ingest",
-              back.histograms[5], f.coefficients)
+    yield _histogram_round_trip(
+        "interp: emitted histogram round-trips through ingest", "A4", 5)
 
 
 def _suite_quick(rng):
@@ -414,15 +420,7 @@ def _suite_quick(rng):
               _orbit_total(parse_descriptor("A3").factors[0]))
     got = clt_check_inv("A(n)", range(10, 31)).clt_holds
     yield _eq("quick: A(n) inversion verdict", got, True)
-    f = gf_des(parse_descriptor("A3"))
-    doc = {"statistic": "des",
-           "histogram": {"4": [str(c) for c in f.coefficients]}}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "roundtrip.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        back = ingest(path, "histogram_json")
-    yield _eq("quick: histogram round-trip through ingest",
-              back.histograms[4], f.coefficients)
+    yield _histogram_round_trip("quick: histogram round-trip through ingest", "A3", 4)
 
 
 SUITES = {

@@ -331,6 +331,21 @@ def test_interp_too_few_points_reports_note(capsys, tmp_path):
     assert "4" in doc["note"]
 
 
+@pytest.mark.parametrize("fmt, doc", [
+    ("values_json", {"values": {"3": 5}}),
+    ("histogram_json", {"histogram": {"3": None}}),
+    ("histogram_json", {"histogram": {"3": [[1], 2]}}),
+], ids=["values not a list", "histogram null", "histogram nested list"])
+def test_interp_malformed_rows_exit_2(capsys, tmp_path, fmt, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run(capsys, "interp", "--input", str(path), "--format", fmt)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "n = 3" in err
+
+
 def test_interp_needs_input_or_fetch(capsys):
     rc, _, _ = run(capsys, "interp", "--target", "mean")
     assert rc == 2
@@ -468,10 +483,10 @@ def filled_cache(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tallies, "_MEMORY_TALLIES", {})
+        mp.setenv("COXSTAT_CACHE", str(cache))
         for group, statistic in [("H3", "des"), ("A2", "des_plus_ides"),
                                  ("B3", "des_plus_ides")]:
-            tallies.cached_tally(parse_descriptor(group).factors[0], statistic,
-                                 cache_dir=cache / "tallies")
+            tallies.cached_tally(parse_descriptor(group).factors[0], statistic)
     write_values_doc(cache / "des.json", (4, 5, 6, 7))
     return cache
 

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,27 @@ class TestFindStat:
         self.seed_cache(tmp_path / "findstat", sizes=(2, 3))
         ds = fetch_findstat("St000021")
         assert ds.histograms[3] == (1, 4, 1)
+
+    def test_download_does_not_use_a_fixed_temporary_name(self, tmp_path, monkeypatch):
+        # a directory squatting on the old fixed temporary name, as a
+        # concurrent downloader's file would, does not stop the write
+        payload = b"[1,2];0\n[2,1];1\n"
+
+        class Response:
+            content = payload
+
+            def raise_for_status(self):
+                pass
+
+        fake = types.ModuleType("requests")
+        fake.get = lambda url, timeout: Response()
+        monkeypatch.setitem(sys.modules, "requests", fake)
+        (tmp_path / "St000021.tmp").mkdir()
+        ds = fetch_findstat("St000021", cache_dir=tmp_path)
+        assert ds.histograms[2] == (1, 1)
+        assert (tmp_path / "St000021.csv").read_bytes() == payload
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["St000021.csv",
+                                                              "St000021.tmp"]
 
     def test_cache_miss_offline_is_explicit(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)

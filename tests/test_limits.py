@@ -165,6 +165,15 @@ class TestCltDes:
         assert rep.clt_holds is False
         assert rep.trend.verdict == "bounded"
 
+    def test_condition_against_bounded_trend_is_inconclusive(self):
+        # the harmonic 1/m sum diverges, but next to E8^100 the variance
+        # barely moves over the range: no verdict, and no exception
+        rep = clt_check_des("E8^100 x prod(I2(i), i=1..n)", range(2, 81))
+        assert rep.cond_dihedral_divergence
+        assert rep.clt_holds is None
+        assert rep.trend.verdict == "inconclusive"
+        assert "sufficient divergence condition" in rep.trend.rationale
+
     def test_condition_implications_hold(self):
         # detected sufficient conditions must cosign the published verdict
         cases = [("A(n)", range(1, 13)), (EX1, range(1, 13)),

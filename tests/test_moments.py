@@ -99,14 +99,35 @@ def test_mahonian_cumulants_a1_by_hand():
     assert c[6] == Fr(1, 4)
 
 
-def test_mahonian_cumulants_high_order_fall_back():
-    d = parse_descriptor("A3")
-    c8 = mahonian_cumulants(d, k_max=8)
-    assert set(c8) == set(range(2, 9))
-    assert c8[7] == 0  # symmetric distribution
-    assert c8[2] == mahonian_cumulants(d)[2]
+@pytest.mark.parametrize("text", ["A1", "A3", "A5", "B4", "I2(9)", "E6", "H3",
+                                  "A3 x B2"])
+def test_mahonian_cumulants_high_orders_match_polynomial(text):
+    # the Bernoulli closed form holds at every order, not only up to 6
+    d = parse_descriptor(text)
+    closed = mahonian_cumulants(d, k_max=12)
+    assert set(closed) == set(range(2, 13))
+    assert closed == moments_from_polynomial(gf_inv(d), k_max=12).cumulants
+    assert all(closed[k] == 0 for k in range(3, 13, 2))
+    assert closed[2] == mahonian_cumulants(d)[2]
+
+
+def test_mahonian_cumulants_reject_order_below_two():
     with pytest.raises(ValueError):
-        mahonian_cumulants(d, k_max=1)
+        mahonian_cumulants(parse_descriptor("A3"), k_max=1)
+
+
+def test_moments_module_does_not_import_polynomials():
+    # one route per quantity: the closed forms never reach for gf_inv
+    import ast
+    import inspect
+
+    from coxstat import moments
+
+    tree = ast.parse(inspect.getsource(moments))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "groups" in imported
+    assert "polynomials" not in imported
 
 
 # ---------------------------------------------------------------------------

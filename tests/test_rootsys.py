@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxstat
 import oracles
 from coxstat.groups import (
     coxeter_edges,
@@ -153,17 +158,22 @@ def test_dihedral_closed_form_action():
 
 
 def test_rejects_overflowing_closure():
-    # cap smaller than the group: error mentions both numbers
-    rs = build_root_system(irreducible("A", 5))
-    with pytest.raises(ValueError, match="720"):
-        list(enumerate_inversion_sets(rs, cap=100))
+    # E8 is larger than the enumeration cap: the error names its order and
+    # the cap before anything is walked
+    rs = build_root_system(irreducible("E", 8))
+    for walk in (lambda: next(enumerate_inversion_sets(rs)),
+                 lambda: statistics_tally(rs, "des"),
+                 lambda: next(element_actions(rs))):
+        with pytest.raises(ValueError,
+                           match="696729600 of E8 exceeds enumeration cap 5000000"):
+            walk()
 
 
 # ---------------------------------------------------------------------------
 # element walk vs window oracles
 
-def _records(lab, cap=5_000_000):
-    return list(enumerate_inversion_sets(build_root_system(lab), cap=cap))
+def _records(lab):
+    return list(enumerate_inversion_sets(build_root_system(lab)))
 
 
 def test_walk_counts_and_longest_element():
@@ -315,17 +325,65 @@ def test_rootsys_reexports_the_tally_cache():
         assert getattr(rootsys, name) is getattr(tallies, name)
 
 
-def test_cached_tally_disk_and_memory(tmp_path):
-    lab = irreducible("I2", 2, 6)
-    a = cached_tally(lab, "des", cache_dir=tmp_path)
-    files = list(tmp_path.glob("*.tally"))
-    assert len(files) == 1
-    # corrupt-resistant: re-read comes from disk on a fresh memory cache
+def test_cached_tally_disk_and_memory(tmp_path, monkeypatch):
     from coxstat import tallies
 
-    tallies._MEMORY_TALLIES.pop((lab, "des"), None)
-    b = cached_tally(lab, "des", cache_dir=tmp_path)
+    lab = irreducible("I2", 2, 6)
+    monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
+    monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
+    a = cached_tally(lab, "des")
+    files = list((tmp_path / "tallies").glob("*"))
+    assert [f.name for f in files] == ["I2_6.des.tally"]
+    # corrupt-resistant: re-read comes from disk on a fresh memory cache
+    monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
+    b = cached_tally(lab, "des")
     assert a == b == (1, 10, 1)
+
+
+def test_no_disk_cache_without_the_variable(tmp_path, monkeypatch):
+    from coxstat import tallies
+
+    monkeypatch.delenv("COXSTAT_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
+    assert cached_tally(irreducible("I2", 2, 5), "des") == (1, 8, 1)
+    assert not list(tmp_path.rglob("*"))
+
+
+def test_tally_write_does_not_use_a_fixed_temporary_name(tmp_path):
+    # a directory squatting on the old fixed temporary name, as a
+    # concurrent writer's file would, does not stop the write
+    path = tmp_path / "H3.des.tally"
+    (tmp_path / "H3.des.tally.tmp").mkdir()
+    write_tally_file(path, (1, 59, 59, 1))
+    assert read_tally_file(path) == (1, 59, 59, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["H3.des.tally",
+                                                          "H3.des.tally.tmp"]
+
+
+_WRITER = (
+    "import sys, time\n"
+    "from pathlib import Path\n"
+    "from coxstat.tallies import write_tally_file\n"
+    "deadline = time.monotonic() + 0.5\n"
+    "while time.monotonic() < deadline:\n"
+    "    write_tally_file(Path(sys.argv[1]), (1, 59, 59, 1))\n"
+)
+
+
+def test_concurrent_tally_writers_do_not_collide(tmp_path):
+    # more writers than cores, each rewriting one file for half a second
+    path = tmp_path / "H3.des.tally"
+    src = str(Path(coxstat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path)], env=env,
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(4)]
+    errors = [proc.communicate(timeout=60)[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * 4, errors
+    assert read_tally_file(path) == (1, 59, 59, 1)
+    assert [p.name for p in tmp_path.iterdir()] == ["H3.des.tally"]
 
 
 def test_cache_env_variable(tmp_path, monkeypatch):
@@ -354,12 +412,13 @@ def test_cached_tally_rebuilds_corrupt_file(tmp_path, monkeypatch, corrupt):
     from coxstat import tallies
 
     lab = irreducible("H", 3)
+    monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
-    want = cached_tally(lab, "des", cache_dir=tmp_path)
+    want = cached_tally(lab, "des")
     assert want == (1, 59, 59, 1)
-    path = tmp_path / "H3.des.tally"
+    path = tmp_path / "tallies" / "H3.des.tally"
     corrupt(path)
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
     with pytest.warns(RuntimeWarning, match="H3.des.tally"):
-        assert cached_tally(lab, "des", cache_dir=tmp_path) == want
+        assert cached_tally(lab, "des") == want
     assert read_tally_file(path) == want
