@@ -176,7 +176,7 @@ def _cmd_llt(args, stream):
 
 def _cmd_interp(args, stream):
     if args.fetch:
-        ds = fetch_findstat(args.fetch, cache_dir=args.cache_dir)
+        ds = fetch_findstat(args.fetch)
     else:
         ds = ingest(args.input, args.format)
     rows = summarize(ds)
@@ -277,7 +277,6 @@ def build_parser():
     p.add_argument("--format", choices=["values_json", "histogram_json", "findstat_csv"],
                    default="values_json")
     p.add_argument("--target", choices=["mean", "variance"], default="variance")
-    p.add_argument("--cache-dir", metavar="DIR")
     p.set_defaults(func=_cmd_interp)
 
     p = sub.add_parser("verify", help="run a self-check suite")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import factorial
 
 from .groups import CoxeterDescriptor, group_order
 
@@ -36,7 +35,6 @@ __all__ = [
     "all_positive_roots",
     "st_count",
     "iter_windows",
-    "window_count",
     "window_tally",
     "enumerate_elements",
     "sample_uniform",
@@ -246,15 +244,6 @@ def st_count(p, subset):
 # ---------------------------------------------------------------------------
 # enumeration: lexicographic in (sign pattern, underlying permutation),
 # with plus sorting before minus positionwise
-
-def window_count(family, length):
-    total = factorial(length)
-    if family == "B":
-        total <<= length
-    elif family == "D":
-        total <<= length - 1
-    return total
-
 
 def iter_windows(family, length):
     """Windows in lexicographic (sign pattern, permutation) order."""

@@ -8,16 +8,17 @@ are exact through the variance; normalized cumulants print in the
 three-significant-figure table style used throughout the docs, so rows
 are string-comparable in tests.
 
-Formula guessing searches V = f(n) / (a n + b)^c over the small grid
-a, b in {0, +-1, +-2}, c in 0..5.  The nodes are the same for every
-candidate, so one integer Lagrange basis is built per call; a candidate
-multiplies the data by its denominator, and f, scaled to integer
-coefficients, is an integer combination of that basis.  It is accepted
-only when deg f is at least three below the number of points and the
-formula reproduces every point.  Candidates are reduced (denominator
-factors dividing f exactly are cancelled), sign- and gcd-normalized,
-then deduplicated, so equivalent parameterizations collapse to one
-entry.
+Formula guessing searches V = f(n) / (a n + b)^c over c in 0..5 and,
+for c > 0, the canonical denominators: a in {1, 2}, b in {0, +-1, +-2},
+gcd(a, b) = 1 (a negative a or a common factor only rescales f).  The
+nodes are the same for every candidate, so one integer Lagrange basis
+is built per call; a candidate multiplies the data by its denominator,
+and f, scaled to integer coefficients, is an integer combination of
+that basis.  It is accepted only when deg f is at least three below the
+number of points and the formula reproduces every point.  A candidate
+whose non-constant f vanishes at n = -b/a is skipped: f / (a n + b) is
+the numerator of the candidate with one power less, which is found in
+its own right, so every formula comes back once, in lowest terms.
 """
 
 from __future__ import annotations
@@ -358,24 +359,15 @@ def _lagrange_basis(xs):
     return basis, weights
 
 
-def _divide_linear(coeffs, a, b):
-    """Divide by (a n + b); returns (quotient, remainder)."""
-    work = list(coeffs)
-    quot = [Fraction(0)] * (len(coeffs) - 1)
-    for k in range(len(coeffs) - 1, 0, -1):
-        quot[k - 1] = work[k] / a
-        work[k - 1] -= quot[k - 1] * b
-    return quot, work[0]
-
-
 def lagrange_guess(points, target="variance"):
     """Rational-form candidates reproducing the points exactly.
 
     points are (n, exact value) pairs, at least four with distinct
     integral n.
     A candidate (a, b, c) is accepted when the interpolated numerator
-    has degree at most len(points) - 3; results come back reduced,
-    normalized, deduplicated, and sorted by (c, |a|, |b|, degree).
+    has degree at most len(points) - 3 and, for c > 0, is constant or
+    nonzero at n = -b/a; results come back sorted by
+    (c, |a|, |b|, degree).
     """
     if target not in ("mean", "variance"):
         raise ValueError("target must be mean or variance")
@@ -400,12 +392,13 @@ def lagrange_guess(points, target="variance"):
     units = [v.numerator * (scale_d // v.denominator) * (scale_l // w)
              for (_, v), w in zip(pts, weights)]
     columns = list(zip(*basis))
-    found = {}
+    found = []
     for c in range(6):
-        # a = 0 with c > 0 is a constant denominator: normalized to c = 0,
-        # which the (0, 0, 0) candidate already covers
+        # a = 0 with c > 0 is a constant denominator, which the (0, 0, 0)
+        # candidate already covers; the others are (a, b) up to sign and
+        # common factor
         grid = [(0, 0)] if c == 0 else [
-            (a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 0, 1, 2)]
+            (a, b) for a in (1, 2) for b in (2, 1, 0, -1, -2) if math.gcd(a, b) == 1]
         for a, b in grid:
             if c > 0 and any(a * n + b == 0 for n in xs):
                 continue
@@ -417,58 +410,34 @@ def lagrange_guess(points, target="variance"):
                     for col in columns[:margin + 1]]
             while len(poly) > 1 and poly[-1] == 0:
                 poly.pop()
-            fa, fb, fc = a, b, c
-            while fc > 0:
-                quot, rem = _divide_linear(poly, fa, fb)
-                if rem != 0 or len(poly) == 1:
-                    break
-                poly = quot
-                fc -= 1
-            if fc == 0:
-                fa, fb = 0, 0
-            elif fa < 0:
-                if fc % 2:
-                    poly = [-co for co in poly]
-                fa, fb = -fa, -fb
-            if fc > 0:
-                g = math.gcd(fa, abs(fb))
-                if g > 1:
-                    fa //= g
-                    fb //= g
-                    poly = [co / g ** fc for co in poly]
-            key = (fa, fb, fc, tuple(poly))
-            if key in found:
+            # a root at -b/a cancels: the smaller c reports this formula
+            if c > 0 and len(poly) > 1 and not RationalFormula(
+                    tuple(poly), 0, 0, 0).evaluate(Fraction(-b, a)):
                 continue
-            formula = RationalFormula(tuple(poly), fa, fb, fc)
+            formula = RationalFormula(tuple(poly), a, b, c)
             if all(formula.evaluate(n) == v for n, v in pts):
-                found[key] = formula
-    return sorted(found.values(),
+                found.append(formula)
+    return sorted(found,
                   key=lambda f: (f.c, abs(f.a), abs(f.b), f.degree, f.numerator))
 
 
 # ---------------------------------------------------------------------------
 # FindStat client
 
-def _findstat_cache_dir(cache_dir):
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get("COXSTAT_CACHE")
-    if env:
-        return Path(env) / "findstat"
-    return Path.home() / ".cache" / "coxstat" / "findstat"
-
-
-def fetch_findstat(statistic_id, cache_dir=None):
+def fetch_findstat(statistic_id):
     """Dataset for a FindStat statistic id, via an on-disk cache.
 
-    A cached export is parsed directly; otherwise the public export is
-    downloaded (requests, an optional dependency) and cached first.
-    Offline with no cached copy is an explicit error.
+    The cache is $COXSTAT_CACHE/findstat, or ~/.cache/coxstat/findstat
+    when the variable is unset.  A cached export is parsed directly;
+    otherwise the public export is downloaded (requests, an optional
+    dependency) and cached first.  Offline with no cached copy is an
+    explicit error.
     """
     if not re.fullmatch(r"St\d{6}", statistic_id):
         raise ValueError(f"bad statistic id {statistic_id!r}; expected StNNNNNN")
-    directory = _findstat_cache_dir(cache_dir)
-    path = directory / f"{statistic_id}.csv"
+    env = os.environ.get("COXSTAT_CACHE")
+    directory = Path(env) if env else Path.home() / ".cache" / "coxstat"
+    path = directory / "findstat" / f"{statistic_id}.csv"
     if not path.exists():
         url = FINDSTAT_URL.format(id=statistic_id)
         try:

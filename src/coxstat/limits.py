@@ -592,6 +592,44 @@ def _sweep(spec, ns):
         yield n, total
 
 
+def _settled(kind):
+    """Closed-form verdicts for a shape SequenceSpec.classify recognizes:
+    (d_n / s_n verdict, its reason, the m_n / s_n note, s_n verdict for
+    descents, its reason), or None for any other shape."""
+    if kind[0] == "classical":
+        return ("tends_to_zero",
+                f"single {kind[1]}(n) factor: d_n grows linearly while "
+                "s_n^2 grows cubically, so d_n / s_n vanishes",
+                "m_n is bounded",
+                "tends_to_infinity",
+                "single growing classical factor: variance grows like "
+                "rank/12, so s_n diverges")
+    if kind[0] == "dihedral_poly":
+        deg = kind[1]
+        des = (("tends_to_infinity",
+                f"dihedral parameter of degree {deg}: the 1/m sum "
+                "diverges (harmonic or slower decay), variance diverges")
+               if deg <= 1 else
+               ("bounded",
+                f"dihedral parameter of degree {deg}: the 1/m sum "
+                "converges, variance stays bounded"))
+        return ("tends_to_zero",
+                "product of dihedrals with polynomial parameter: each "
+                "summand contributes variance (m_i^2+2)/12 while "
+                "d_n = max m_i, so d_n / s_n vanishes",
+                "same ratio", *des)
+    if kind[0] == "dihedral_exp":
+        return ("bounded",
+                "product of dihedrals with exponential parameter: the "
+                "last factor's degree stays comparable to the total "
+                "standard deviation, so d_n / s_n does not vanish",
+                "same ratio",
+                "bounded",
+                "exponential dihedral parameter: the 1/m sum converges "
+                "geometrically, variance stays bounded")
+    return None
+
+
 def clt_check_inv(spec, n_range):
     """Normal-limit diagnostic for inversions: does d_n / s_n vanish?
 
@@ -618,25 +656,12 @@ def clt_check_inv(spec, n_range):
         per_n.append((n, agg.rank, agg.max_degree, var))
     ratio = trend_verdict(ratio_samples, "d_n / s_n")
     m_ratio = trend_verdict(m_samples, "m_n / s_n")
+    settled = _settled(spec.classify())
     symbolic = None
-    kind = spec.classify()
-    if kind[0] == "classical":
-        symbolic = (f"single {kind[1]}(n) factor: d_n grows linearly while "
-                    "s_n^2 grows cubically, so d_n / s_n vanishes")
-        ratio = _override(ratio, "tends_to_zero", "settled by closed forms")
-        m_ratio = _override(m_ratio, "tends_to_zero", "m_n is bounded")
-    elif kind[0] == "dihedral_poly":
-        symbolic = ("product of dihedrals with polynomial parameter: each "
-                    "summand contributes variance (m_i^2+2)/12 while "
-                    "d_n = max m_i, so d_n / s_n vanishes")
-        ratio = _override(ratio, "tends_to_zero", "settled by closed forms")
-        m_ratio = _override(m_ratio, "tends_to_zero", "same ratio")
-    elif kind[0] == "dihedral_exp":
-        symbolic = ("product of dihedrals with exponential parameter: the "
-                    "last factor's degree stays comparable to the total "
-                    "standard deviation, so d_n / s_n does not vanish")
-        ratio = _override(ratio, "bounded", "settled by closed forms")
-        m_ratio = _override(m_ratio, "bounded", "same ratio")
+    if settled is not None:
+        verdict, symbolic, m_note = settled[:3]
+        ratio = _override(ratio, verdict, "settled by closed forms")
+        m_ratio = _override(m_ratio, verdict, m_note)
     holds = {"tends_to_zero": True, "inconclusive": None}.get(ratio.verdict, False)
     return MahonianCltReport(
         spec_text=spec.source_text,
@@ -670,52 +695,26 @@ def clt_check_des(spec, n_range):
         nd_ranks.append((n, agg.nondihedral_rank))
         per_n.append((n, agg.rank, agg.des_variance))
     trend = trend_verdict(s_samples, "s_n")
-    symbolic = None
     kind = spec.classify()
-    if kind[0] == "classical":
-        symbolic = ("single growing classical factor: variance grows like "
-                    "rank/12, so s_n diverges")
-        trend = _override(trend, "tends_to_infinity", "settled by closed forms")
-    elif kind[0] == "dihedral_poly":
-        deg = kind[1]
-        if deg <= 1:
-            symbolic = (f"dihedral parameter of degree {deg}: the 1/m sum "
-                        "diverges (harmonic or slower decay), variance diverges")
-            trend = _override(trend, "tends_to_infinity", "settled by closed forms")
-        else:
-            symbolic = (f"dihedral parameter of degree {deg}: the 1/m sum "
-                        "converges, variance stays bounded")
-            trend = _override(trend, "bounded", "settled by closed forms")
-    elif kind[0] == "dihedral_exp":
-        symbolic = ("exponential dihedral parameter: the 1/m sum converges "
-                    "geometrically, variance stays bounded")
-        trend = _override(trend, "bounded", "settled by closed forms")
-    # sufficient conditions
-    rank_trend = trend_verdict([(n, float(r)) for n, r in nd_ranks], "nondihedral rank")
-    if kind[0] == "classical":
-        a1 = True
-    elif kind[0] in ("dihedral_poly", "dihedral_exp"):
-        a1 = False
+    settled = _settled(kind)
+    if settled is None:
+        symbolic = None
+        # the sufficient conditions, read off their trends
+        a1 = trend_verdict([(n, float(r)) for n, r in nd_ranks],
+                           "nondihedral rank").verdict == "tends_to_infinity"
+        b = trend_verdict(sums, "sum of 1/m").verdict == "tends_to_infinity"
     else:
-        a1 = rank_trend.verdict == "tends_to_infinity"
+        verdict, symbolic = settled[3:]
+        trend = _override(trend, verdict, "settled by closed forms")
+        # a classical factor's rank grows; a dihedral product's variance
+        # diverges exactly when its 1/m sum does
+        a1 = kind[0] == "classical"
+        b = not a1 and verdict == "tends_to_infinity"
     a2 = a1 or nd_ranks[-1][1] > nd_ranks[0][1]
-    if kind[0] == "classical":
-        b = False  # no dihedral factors at all
-        b_known = True
-    elif kind[0] == "dihedral_poly":
-        b = kind[1] <= 1
-        b_known = True
-    elif kind[0] == "dihedral_exp":
-        b = False
-        b_known = True
-    else:
-        sum_trend = trend_verdict(sums, "sum of 1/m")
-        b = sum_trend.verdict == "tends_to_infinity"
-        b_known = sum_trend.verdict != "inconclusive"
     holds = {"tends_to_infinity": True, "inconclusive": None}.get(trend.verdict, False)
     # a detected sufficient condition contradicts a bounded trend; neither
     # numeric diagnostic is a proof, so the verdict stays open
-    if (a1 or (b_known and b)) and holds is False:
+    if (a1 or b) and holds is False:
         trend = _override(trend, "inconclusive",
                           "a sufficient divergence condition contradicts the "
                           f"{trend.verdict} trend")

@@ -3,9 +3,10 @@
 cached_tally returns the histogram of inv, des or des_plus_ides over one
 irreducible factor.  It looks in a per-process dict first, then in a
 binary file under $COXSTAT_CACHE/tallies when that variable is set.  A
-file is used only when its length, sum, symmetry, mean and variance can
-belong to the tally; otherwise, and on a miss, the reflection walk in
-rootsys computes the tally and the file is (re)written.
+file is used only when it opens and its length, sum, symmetry, mean and
+variance can belong to the tally; otherwise, and on a miss, the
+reflection walk in rootsys computes the tally and the file is
+(re)written.
 
 This module imports no numpy: a hit costs a file read, and only a miss
 imports rootsys and with it the walk.
@@ -117,9 +118,11 @@ def _tally_defect(label, statistic, counts):
 def cached_tally(label, statistic):
     """statistics_tally with a process-level and optional disk cache.
 
-    A disk file that does not parse, or whose length, sum, symmetry,
-    mean or variance cannot belong to the tally, is rebuilt and
-    overwritten with a RuntimeWarning.
+    A disk entry that cannot be opened or parsed, or whose length, sum,
+    symmetry, mean or variance cannot belong to the tally, is rebuilt
+    and overwritten with a RuntimeWarning; when the overwrite fails too
+    (say the entry is a directory), a second RuntimeWarning says so and
+    the rebuilt tally is still returned.
     """
     key = (label, statistic)
     hit = _MEMORY_TALLIES.get(key)
@@ -132,22 +135,27 @@ def cached_tally(label, statistic):
         if path.exists():
             try:
                 counts = read_tally_file(path)
-            except (struct.error, ValueError) as exc:
+            except (OSError, struct.error, ValueError) as exc:
                 defect = f"unreadable ({exc})"
             else:
                 defect = _tally_defect(label, statistic, counts)
             if defect is None:
                 _MEMORY_TALLIES[key] = counts
                 return counts
-            # a "<...>" filename has no source line, so the warning prints
-            # as one line
-            warnings.warn_explicit(
-                f"rebuilding tally file {path}: {defect}", RuntimeWarning,
-                "<coxstat tally cache>", 0, module=__name__)
+            _warn(f"rebuilding tally file {path}: {defect}")
     from .rootsys import build_root_system, statistics_tally
 
     counts = statistics_tally(build_root_system(label), statistic)
     _MEMORY_TALLIES[key] = counts
     if dirp is not None:
-        write_tally_file(_tally_path(dirp, label, statistic), counts)
+        try:
+            write_tally_file(path, counts)
+        except OSError as exc:
+            _warn(f"could not write tally file {path}: {exc}")
     return counts
+
+
+def _warn(message):
+    # a "<...>" filename has no source line, so the warning prints as one line
+    warnings.warn_explicit(message, RuntimeWarning, "<coxstat tally cache>", 0,
+                           module=__name__)

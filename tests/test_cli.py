@@ -104,6 +104,30 @@ def test_warning_as_error_is_runtime_exit(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_gf_rebuilds_a_tally_entry_it_cannot_open(tmp_path):
+    # a directory where the tally file belongs: warn, rebuild, warn that
+    # the write-back failed, and leave the directory alone
+    argv = [sys.executable, "-m", "coxstat.cli", "gf", "--group", "H3", "--stat", "des"]
+    empty = subprocess.run(argv, env=_cli_env(tmp_path / "empty"),
+                           capture_output=True, text=True, check=True)
+    path = tmp_path / "blocked" / "tallies" / "H3.des.tally"
+    path.mkdir(parents=True)
+    env = _cli_env(tmp_path / "blocked")
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == empty.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2, proc.stderr
+    assert all("RuntimeWarning" in line and "H3.des.tally" in line for line in lines)
+    assert path.is_dir() and not any(path.parent.glob("*.tmp"))
+    strict = subprocess.run([sys.executable, "-W", "error", *argv[1:]], env=env,
+                            capture_output=True, text=True)
+    assert strict.returncode == 2
+    assert strict.stdout == ""
+    lines = strict.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), strict.stderr
+
+
 def test_gf_empty_group_is_usage_error(capsys):
     rc, _, err = run(capsys, "gf", "--group", "", "--stat", "inv")
     assert rc == 2
@@ -351,13 +375,15 @@ def test_interp_needs_input_or_fetch(capsys):
     assert rc == 2
 
 
-def test_interp_fetch_uses_cache(capsys, tmp_path):
+def test_interp_fetch_uses_cache(capsys, tmp_path, monkeypatch):
     lines = ["# seeded"]
     for w in oracles.iter_windows("A", 3):
         lines.append(f"[{','.join(str(v) for v in w)}];{oracles.inv_of(w, 'A')}")
-    (tmp_path / "St000018.csv").write_text("\n".join(lines), encoding="utf-8")
-    rc, out, _ = run(capsys, "interp", "--fetch", "St000018",
-                     "--cache-dir", str(tmp_path), "--target", "mean")
+    (tmp_path / "findstat").mkdir()
+    (tmp_path / "findstat" / "St000018.csv").write_text("\n".join(lines),
+                                                       encoding="utf-8")
+    monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
+    rc, out, _ = run(capsys, "interp", "--fetch", "St000018", "--target", "mean")
     assert rc == 0
     doc = json.loads(out)
     assert doc["statistic"] == "St000018"

@@ -279,7 +279,7 @@ class TestLagrangeGuess:
                 f = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                      for _ in range(rng.randint(1, k - 2))]
                 a, b = rng.choice([-2, -1, 1, 2, 3]), rng.randint(-3, 3)
-                c = rng.randint(0, 3)
+                c = rng.randint(0, 5)
                 values = [sum(co * x ** i for i, co in enumerate(f))
                           / Fraction(a * x + b) ** c if a * x + b
                           else Fraction(rng.randint(-5, 5)) for x in xs]
@@ -287,6 +287,16 @@ class TestLagrangeGuess:
             rng.shuffle(points)
             got = [(f.numerator, f.a, f.b, f.c) for f in lagrange_guess(points)]
             assert got == oracles.guess_formulas(points), points
+
+    def test_all_zero_data_order(self):
+        # every denominator fits zero; the sort key ties b against -b, so
+        # the order among those is the search order, +b first
+        pairs = [(1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]
+        want = [(0, 0, 0)] + [(a, b, c) for c in range(1, 6) for a, b in pairs]
+        for xs in (range(3, 10), range(-7, -2)):
+            formulas = lagrange_guess([(n, 0) for n in xs])
+            assert [(f.a, f.b, f.c) for f in formulas] == want
+            assert all(f.numerator == (0,) for f in formulas)
 
     def test_inconsistent_data_finds_nothing(self):
         # degree-5 interpolant through 6 points has no margin
@@ -309,11 +319,12 @@ class TestFindStat:
         with pytest.raises(ValueError, match="StNNNNNN"):
             fetch_findstat("21")
 
-    def test_cache_hit_parses_without_network(self, tmp_path):
-        self.seed_cache(tmp_path)
-        ds = fetch_findstat("St000021", cache_dir=tmp_path)
+    def test_cache_hit_parses_without_network(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
+        self.seed_cache(tmp_path / "findstat")
+        ds = fetch_findstat("St000021")
         assert ds.histograms[4] == tuple(oracles.TALLY_DES_A3)
-        assert fetch_findstat("St000021", cache_dir=tmp_path) == ds
+        assert fetch_findstat("St000021") == ds
 
     def test_env_cache_dir_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
@@ -335,14 +346,17 @@ class TestFindStat:
         fake = types.ModuleType("requests")
         fake.get = lambda url, timeout: Response()
         monkeypatch.setitem(sys.modules, "requests", fake)
-        (tmp_path / "St000021.tmp").mkdir()
-        ds = fetch_findstat("St000021", cache_dir=tmp_path)
+        monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
+        directory = tmp_path / "findstat"
+        (directory / "St000021.tmp").mkdir(parents=True)
+        ds = fetch_findstat("St000021")
         assert ds.histograms[2] == (1, 1)
-        assert (tmp_path / "St000021.csv").read_bytes() == payload
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["St000021.csv",
-                                                              "St000021.tmp"]
+        assert (directory / "St000021.csv").read_bytes() == payload
+        assert sorted(p.name for p in directory.iterdir()) == ["St000021.csv",
+                                                               "St000021.tmp"]
 
     def test_cache_miss_offline_is_explicit(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)
+        monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path / "empty"))
         with pytest.raises(RuntimeError, match="no cached copy"):
-            fetch_findstat("St000099", cache_dir=tmp_path / "empty")
+            fetch_findstat("St000099")

@@ -187,6 +187,62 @@ class TestCltDes:
                 assert rep.cond_rank_unbounded or rep.cond_dihedral_divergence
 
 
+_CLASSICAL_INV = ("single {}(n) factor: d_n grows linearly while s_n^2 grows "
+                  "cubically, so d_n / s_n vanishes")
+_POLY_INV = ("product of dihedrals with polynomial parameter: each summand "
+             "contributes variance (m_i^2+2)/12 while d_n = max m_i, so "
+             "d_n / s_n vanishes")
+_CLASSICAL_DES = ("single growing classical factor: variance grows like "
+                  "rank/12, so s_n diverges")
+_NUMERIC = "numeric diagnostic over the range, not a proof"
+_SETTLED = "settled by closed forms"
+
+# spec, range, then per statistic: symbolic sentence, verdict, the last
+# rationale clause (m_n / s_n's too for inv), clt_holds, and for des the
+# three conditions (rank to infinity, rank unbounded, dihedral divergence)
+VERDICT_CASES = [
+    ("A(n)", range(2, 30),
+     (_CLASSICAL_INV.format("A"), "tends_to_zero", _SETTLED, "m_n is bounded", True),
+     (_CLASSICAL_DES, "tends_to_infinity", _SETTLED, True, (True, True, False))),
+    ("D(n)", range(4, 30),
+     (_CLASSICAL_INV.format("D"), "tends_to_zero", _SETTLED, "m_n is bounded", True),
+     (_CLASSICAL_DES, "tends_to_infinity", _SETTLED, True, (True, True, False))),
+    (EX1, range(1, 40),
+     (_POLY_INV, "tends_to_zero", _SETTLED, "same ratio", True),
+     ("dihedral parameter of degree 1: the 1/m sum diverges (harmonic or "
+      "slower decay), variance diverges", "tends_to_infinity", _SETTLED, True,
+      (False, True, True))),
+    (EX2, range(1, 40),
+     (_POLY_INV, "tends_to_zero", _SETTLED, "same ratio", True),
+     ("dihedral parameter of degree 2: the 1/m sum converges, variance stays "
+      "bounded", "bounded", _SETTLED, False, (False, False, False))),
+    (EX4, range(1, 25),
+     ("product of dihedrals with exponential parameter: the last factor's "
+      "degree stays comparable to the total standard deviation, so d_n / s_n "
+      "does not vanish", "bounded", _SETTLED, "same ratio", False),
+     ("exponential dihedral parameter: the 1/m sum converges geometrically, "
+      "variance stays bounded", "bounded", _SETTLED, False, (False, False, False))),
+    # not a recognized shape: the trends alone
+    ("prod(I2(n+i), i=1..n)", range(1, 31),
+     (None, "tends_to_zero", _NUMERIC, _NUMERIC, True),
+     (None, "bounded", "tail spread 0.15%", False, (False, False, False))),
+]
+
+
+@pytest.mark.parametrize("text, ns, inv, des", VERDICT_CASES,
+                         ids=[t for t, *_ in VERDICT_CASES])
+def test_verdicts_and_sentences_are_pinned(text, ns, inv, des):
+    rep = clt_check_inv(text, ns)
+    assert (rep.symbolic, rep.ratio.verdict, rep.ratio.rationale.split("; ")[-1],
+            rep.m_ratio.rationale.split("; ")[-1], rep.clt_holds) == inv
+    assert rep.m_ratio.verdict == rep.ratio.verdict
+    rep = clt_check_des(text, ns)
+    conditions = (rep.cond_rank_to_infinity, rep.cond_rank_unbounded,
+                  rep.cond_dihedral_divergence)
+    assert (rep.symbolic, rep.trend.verdict, rep.trend.rationale.split("; ")[-1],
+            rep.clt_holds, conditions) == des
+
+
 SWEEP_CASES = [
     ("A(n)", range(1, 31)),
     ("D(n)", range(4, 31)),
