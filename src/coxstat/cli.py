@@ -8,10 +8,13 @@ rationals are emitted as "p/q" strings and integers too wide for a
 double (2^53 and up) as decimal strings, so consumers that parse
 through floating point cannot silently truncate anything.
 
-The reflection walk (rootsys, the one module that imports numpy) and
-the verify suites are imported only by the commands that use them:
-enumerate on a group outside A/B/D, and verify.  gf, moments and llt
-reach the walk only through a miss of the tally cache.
+Each command imports only the modules it uses.  Every command loads
+groups, moments and polynomials (with rings and tallies); on top of
+those, clt and llt load limits, interp loads interplab (and elements),
+enumerate loads elements for A/B/D and rootsys for any other family,
+and verify loads verify, which imports every module.  The reflection
+walk (rootsys, the one module that imports numpy) is otherwise reached
+only through a miss of the tally cache in gf, moments or llt.
 """
 
 from __future__ import annotations
@@ -23,17 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .elements import (
-    SignedPermutation,
-    des_count,
-    ides_count,
-    inv_count,
-    iter_windows,
-    to_one_line,
-)
 from .groups import parse_descriptor
-from .interplab import fetch_findstat, ingest, lagrange_guess, summarize
-from .limits import clt_check_des, clt_check_inv, llt_sup_distance
 from .moments import moments_from_polynomial
 from .polynomials import gf_des, gf_des_plus_ides, gf_inv
 
@@ -151,6 +144,8 @@ def _clt_table(doc, stream):
 
 
 def _cmd_clt(args, stream):
+    from .limits import clt_check_des, clt_check_inv
+
     ns = _parse_range(args.range)
     check = clt_check_inv if args.stat == "inv" else clt_check_des
     report = check(args.spec, ns)
@@ -163,6 +158,8 @@ def _cmd_clt(args, stream):
 
 
 def _cmd_llt(args, stream):
+    from .limits import llt_sup_distance
+
     d = parse_descriptor(args.group)
     report = llt_sup_distance(_GF[args.stat](d))
     _emit({
@@ -175,6 +172,8 @@ def _cmd_llt(args, stream):
 
 
 def _cmd_interp(args, stream):
+    from .interplab import fetch_findstat, ingest, lagrange_guess, summarize
+
     if args.fetch:
         ds = fetch_findstat(args.fetch)
     else:
@@ -210,6 +209,15 @@ def _cmd_enumerate(args, stream):
     label = d.factors[0]
     limit = args.limit
     if label.family in ("A", "B", "D"):
+        from .elements import (
+            SignedPermutation,
+            des_count,
+            ides_count,
+            inv_count,
+            iter_windows,
+            to_one_line,
+        )
+
         length = label.rank + 1 if label.family == "A" else label.rank
         for window in itertools.islice(iter_windows(label.family, length), limit):
             p = SignedPermutation(window, label.family)

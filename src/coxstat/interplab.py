@@ -35,7 +35,7 @@ from pathlib import Path
 from .elements import SignedPermutation, des_count, ides_count, inv_count, iter_windows
 from .moments import moments_from_polynomial
 from .polynomials import ExactPolynomial
-from .tallies import write_atomically
+from .tallies import _warn, write_atomically
 
 __all__ = [
     "StatisticDataset",
@@ -150,27 +150,31 @@ _CSV_ROW = re.compile(r"\[(\d+(?:,\s*\d+)*)\]\s*;\s*(\d+)$")
 
 
 def _ingest_findstat_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        return _parse_findstat_csv(path.stem, fh)
+
+
+def _parse_findstat_csv(name, lines):
     """Two columns "element;value", element in one-line notation, grouped
     by window length."""
     per_size = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = _CSV_ROW.match(line)
-            if m is None:
-                raise ValueError(f"line {lineno}: malformed row {line!r}")
-            window = tuple(int(v) for v in m.group(1).split(","))
-            n = len(window)
-            if sorted(window) != list(range(1, n + 1)):
-                raise ValueError(f"line {lineno}: {window} is not a permutation")
-            per_size.setdefault(n, []).append(int(m.group(2)))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _CSV_ROW.match(line)
+        if m is None:
+            raise ValueError(f"line {lineno}: malformed row {line!r}")
+        window = tuple(int(v) for v in m.group(1).split(","))
+        n = len(window)
+        if sorted(window) != list(range(1, n + 1)):
+            raise ValueError(f"line {lineno}: {window} is not a permutation")
+        per_size.setdefault(n, []).append(int(m.group(2)))
     values = {n: tuple(v) for n, v in sorted(per_size.items())}
     for n, v in values.items():
         _check_declared_order("S", n, len(v))
     hists = {n: _tally(v) for n, v in values.items()}
-    return StatisticDataset(path.stem, hists, values, "S")
+    return StatisticDataset(name, hists, values, "S")
 
 
 def _fixed_points(window):
@@ -428,29 +432,38 @@ def fetch_findstat(statistic_id):
     """Dataset for a FindStat statistic id, via an on-disk cache.
 
     The cache is $COXSTAT_CACHE/findstat, or ~/.cache/coxstat/findstat
-    when the variable is unset.  A cached export is parsed directly;
-    otherwise the public export is downloaded (requests, an optional
-    dependency) and cached first.  Offline with no cached copy is an
-    explicit error.
+    when the variable is unset.  A cached export is parsed directly.
+    Otherwise, or when the cached path cannot be opened (say it is a
+    directory), the public export is downloaded (requests, an optional
+    dependency), parsed, and written to the cache; when that write fails,
+    a RuntimeWarning says so and the dataset is still returned.  Offline
+    with no usable cached copy is an explicit error.
     """
     if not re.fullmatch(r"St\d{6}", statistic_id):
         raise ValueError(f"bad statistic id {statistic_id!r}; expected StNNNNNN")
     env = os.environ.get("COXSTAT_CACHE")
     directory = Path(env) if env else Path.home() / ".cache" / "coxstat"
     path = directory / "findstat" / f"{statistic_id}.csv"
-    if not path.exists():
-        url = FINDSTAT_URL.format(id=statistic_id)
-        try:
-            import requests
+    try:
+        return _ingest_findstat_csv(path)
+    except OSError:
+        pass  # a miss, or an entry that cannot be opened: download it
+    url = FINDSTAT_URL.format(id=statistic_id)
+    try:
+        import requests
 
-            resp = requests.get(url, timeout=15)
-            resp.raise_for_status()
-            payload = resp.content
-        except Exception as exc:
-            raise RuntimeError(
-                f"no cached copy of {statistic_id} at {path} and the "
-                f"download failed ({exc}); install the findstat extra and "
-                "retry online, or pre-seed the cache"
-            ) from exc
+        resp = requests.get(url, timeout=15)
+        resp.raise_for_status()
+        payload = resp.content
+    except Exception as exc:
+        raise RuntimeError(
+            f"no cached copy of {statistic_id} at {path} and the "
+            f"download failed ({exc}); install the findstat extra and "
+            "retry online, or pre-seed the cache"
+        ) from exc
+    ds = _parse_findstat_csv(statistic_id, payload.decode("utf-8").splitlines())
+    try:
         write_atomically(path, payload)
-    return ingest(path, "findstat_csv")
+    except OSError as exc:
+        _warn(f"could not write FindStat export {path}: {exc}", "findstat")
+    return ds

@@ -155,7 +155,7 @@ def cached_tally(label, statistic):
     return counts
 
 
-def _warn(message):
+def _warn(message, cache="tally"):
     # a "<...>" filename has no source line, so the warning prints as one line
-    warnings.warn_explicit(message, RuntimeWarning, "<coxstat tally cache>", 0,
+    warnings.warn_explicit(message, RuntimeWarning, f"<coxstat {cache} cache>", 0,
                            module=__name__)

@@ -307,12 +307,13 @@ def test_llt_past_the_double_range(capsys):
 
 
 def test_arithmetic_error_is_runtime_exit(capsys, monkeypatch):
-    import coxstat.cli as cli
+    import coxstat.limits as limits
 
     def overflow(f):
         raise OverflowError("int too large to convert to float")
 
-    monkeypatch.setattr(cli, "llt_sup_distance", overflow)
+    # llt imports llt_sup_distance from limits when it runs
+    monkeypatch.setattr(limits, "llt_sup_distance", overflow)
     rc, out, err = run(capsys, "llt", "--group", "B4", "--stat", "des")
     assert rc == 2
     assert out == ""
@@ -492,14 +493,28 @@ def test_gf_round_trips_through_ingest(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold start: commands that do not walk never import numpy
+# cold start: commands that do not walk never import numpy, and each
+# command leaves the coxstat modules it does not use unloaded
 
 _COLD = (
     "import sys\n"
+    "unused = sys.argv[1].split(',')\n"
     "from coxstat.cli import main\n"
-    "rc = main(sys.argv[1:])\n"
-    "sys.exit('numpy was imported' if 'numpy' in sys.modules else rc)\n"
+    "rc = main(sys.argv[2:])\n"
+    "loaded = [m for m in unused if m in sys.modules]\n"
+    "sys.exit(f'imported {loaded}' if loaded else rc)\n"
 )
+
+_NOT_GF = ("coxstat.limits", "coxstat.interplab", "coxstat.elements")
+_UNUSED = {
+    "gf": _NOT_GF,
+    "moments": _NOT_GF,
+    "--help": _NOT_GF,
+    "llt": ("coxstat.interplab", "coxstat.elements"),
+    "clt": ("coxstat.interplab", "coxstat.elements"),
+    "interp": ("coxstat.limits",),
+    "enumerate": ("coxstat.limits", "coxstat.interplab"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -530,8 +545,29 @@ def filled_cache(tmp_path_factory):
     ["--help"],
 ], ids=" ".join)
 def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
+    unused = ",".join(("numpy",) + _UNUSED[argv[0]])
     argv = [a.replace("{cache}", str(filled_cache)) for a in argv]
-    proc = subprocess.run([sys.executable, "-c", _COLD, *argv],
+    proc = subprocess.run([sys.executable, "-c", _COLD, unused, *argv],
                           env=_cli_env(filled_cache), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+_BARE = (
+    "import sys\n"
+    "import coxstat\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('coxstat.'))\n"
+    "assert not loaded, loaded\n"
+    "assert coxstat.gf_des('A2').coefficients == (1, 4, 1)\n"
+    "assert str(coxstat.limits.parse_sequence_spec('A(n)').descriptor(3)) == 'A3'\n"
+    "names = {}\n"
+    "exec('from coxstat import *', names)\n"
+    "assert set(coxstat.__all__) <= set(names), set(coxstat.__all__) - set(names)\n"
+)
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    # re-exported names and submodule attributes still resolve on first use
+    proc = subprocess.run([sys.executable, "-c", _BARE], env=_cli_env(tmp_path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -315,6 +315,20 @@ class TestFindStat:
         (directory / "St000021.csv").write_text("\n".join(lines) + "\n",
                                                 encoding="utf-8")
 
+    @staticmethod
+    def serve(monkeypatch, payload):
+        """A fake requests module whose every download returns payload."""
+
+        class Response:
+            content = payload
+
+            def raise_for_status(self):
+                pass
+
+        fake = types.ModuleType("requests")
+        fake.get = lambda url, timeout: Response()
+        monkeypatch.setitem(sys.modules, "requests", fake)
+
     def test_bad_id_rejected(self):
         with pytest.raises(ValueError, match="StNNNNNN"):
             fetch_findstat("21")
@@ -336,16 +350,7 @@ class TestFindStat:
         # a directory squatting on the old fixed temporary name, as a
         # concurrent downloader's file would, does not stop the write
         payload = b"[1,2];0\n[2,1];1\n"
-
-        class Response:
-            content = payload
-
-            def raise_for_status(self):
-                pass
-
-        fake = types.ModuleType("requests")
-        fake.get = lambda url, timeout: Response()
-        monkeypatch.setitem(sys.modules, "requests", fake)
+        self.serve(monkeypatch, payload)
         monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
         directory = tmp_path / "findstat"
         (directory / "St000021.tmp").mkdir(parents=True)
@@ -354,6 +359,22 @@ class TestFindStat:
         assert (directory / "St000021.csv").read_bytes() == payload
         assert sorted(p.name for p in directory.iterdir()) == ["St000021.csv",
                                                                "St000021.tmp"]
+
+    def test_unopenable_cache_entry_is_downloaded_again(self, tmp_path, monkeypatch):
+        # a directory where the export should be cannot be read or replaced:
+        # the download is parsed as it is, with one warning for the write
+        payload = b"[1,2];0\n[2,1];1\n"
+        self.serve(monkeypatch, payload)
+        monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
+        entry = tmp_path / "findstat" / "St000021.csv"
+        entry.mkdir(parents=True)
+        with pytest.warns(RuntimeWarning, match="could not write") as caught:
+            ds = fetch_findstat("St000021")
+        assert len(caught) == 1
+        assert ds.name == "St000021"
+        assert ds.histograms[2] == (1, 1)
+        assert entry.is_dir()
+        assert [p.name for p in entry.parent.iterdir()] == ["St000021.csv"]
 
     def test_cache_miss_offline_is_explicit(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)
