@@ -209,20 +209,14 @@ def _cmd_enumerate(args, stream):
     label = d.factors[0]
     limit = args.limit
     if label.family in ("A", "B", "D"):
-        from .elements import (
-            SignedPermutation,
-            des_count,
-            ides_count,
-            inv_count,
-            iter_windows,
-            to_one_line,
-        )
+        from .elements import des_count, ides_count, inv_count, iter_windows, to_one_line
 
-        length = label.rank + 1 if label.family == "A" else label.rank
-        for window in itertools.islice(iter_windows(label.family, length), limit):
-            p = SignedPermutation(window, label.family)
-            print(f"{to_one_line(p)} inv={inv_count(p)} des={des_count(p)} "
-                  f"ides={ides_count(p)}", file=stream)
+        family = label.family
+        length = label.rank + 1 if family == "A" else label.rank
+        for w in itertools.islice(iter_windows(family, length), limit):
+            print(f"{to_one_line(w)} inv={inv_count(w, family)} "
+                  f"des={des_count(w, family)} ides={ides_count(w, family)}",
+                  file=stream)
         return 0
     from .rootsys import build_root_system, enumerate_inversion_sets
 

@@ -15,7 +15,9 @@ nodes are the same for every candidate, so one integer Lagrange basis
 is built per call; a candidate multiplies the data by its denominator,
 and f, scaled to integer coefficients, is an integer combination of
 that basis.  It is accepted only when deg f is at least three below the
-number of points and the formula reproduces every point.  A candidate
+number of points; f then interpolates V (a n + b)^c exactly, and a
+candidate with a n + b = 0 at some node is never tried, so the formula
+reproduces every point without a further check.  A candidate
 whose non-constant f vanishes at n = -b/a is skipped: f / (a n + b) is
 the numerator of the candidate with one power less, which is found in
 its own right, so every formula comes back once, in lowest terms.
@@ -32,7 +34,7 @@ from fractions import Fraction
 from operator import mul, sub
 from pathlib import Path
 
-from .elements import SignedPermutation, des_count, ides_count, inv_count, iter_windows
+from .elements import des_count, ides_count, inv_count, iter_windows
 from .moments import moments_from_polynomial
 from .polynomials import ExactPolynomial
 from .tallies import _warn, write_atomically
@@ -192,26 +194,19 @@ def builtin_dataset(statistic, sizes, keyed_by="size"):
         raise ValueError(f"statistic must be one of {BUILTIN_STATISTICS}")
     if keyed_by not in ("size", "rank"):
         raise ValueError("keyed_by must be size or rank")
+    statfn = {
+        "inv": inv_count,
+        "des": des_count,
+        "ides": ides_count,
+        "des_plus_ides": lambda w, family: des_count(w, family) + ides_count(w, family),
+        "fixed_points": lambda w, family: _fixed_points(w),
+    }[statistic]
     values = {}
     for n in sizes:
         if n < 2:
             raise ValueError("sizes must be at least 2")
-        row = []
-        for window in iter_windows("A", n):
-            if statistic == "fixed_points":
-                row.append(_fixed_points(window))
-                continue
-            p = SignedPermutation(window, "A")
-            if statistic == "inv":
-                row.append(inv_count(p))
-            elif statistic == "des":
-                row.append(des_count(p))
-            elif statistic == "ides":
-                row.append(ides_count(p))
-            else:
-                row.append(des_count(p) + ides_count(p))
         key = n if keyed_by == "size" else n - 1
-        values[key] = tuple(row)
+        values[key] = tuple(statfn(w, "A") for w in iter_windows("A", n))
     hists = {n: _tally(v) for n, v in values.items()}
     return StatisticDataset(statistic, hists, values,
                             "S" if keyed_by == "size" else None)
@@ -418,9 +413,7 @@ def lagrange_guess(points, target="variance"):
             if c > 0 and len(poly) > 1 and not RationalFormula(
                     tuple(poly), 0, 0, 0).evaluate(Fraction(-b, a)):
                 continue
-            formula = RationalFormula(tuple(poly), a, b, c)
-            if all(formula.evaluate(n) == v for n, v in pts):
-                found.append(formula)
+            found.append(RationalFormula(tuple(poly), a, b, c))
     return sorted(found,
                   key=lambda f: (f.c, abs(f.a), abs(f.b), f.degree, f.numerator))
 

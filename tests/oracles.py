@@ -102,6 +102,26 @@ def compose_windows(u, v):
     return tuple(out)
 
 
+def simple_reflection(family, length, position):
+    """The generator at a descent position, as a window.
+
+    Type A uses positions 1..length-1, a swap of entries position and
+    position+1.  Types B and D add position 0: the sign change of w(1)
+    (type B) or the double move to (-w(2), -w(1), w(3), ...) (type D).
+    """
+    w = list(range(1, length + 1))
+    if position == 0:
+        if family == "B":
+            w[0] = -1
+        elif family == "D":
+            w[0], w[1] = -2, -1
+        else:
+            raise ValueError("position 0 is not a type A generator")
+    else:
+        w[position - 1], w[position] = w[position], w[position - 1]
+    return tuple(w)
+
+
 def tally(family, length, statfn):
     """Histogram of statfn over the family's windows, as a list of counts."""
     counts = {}

@@ -403,6 +403,24 @@ def test_enumerate_windows(capsys):
     assert all("inv=" in line and "ides=" in line for line in lines)
 
 
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_enumerate_prints_every_window_with_its_statistics(capsys, family, rank):
+    # the statistics from the definitions, in iter_windows order
+    from coxstat.elements import iter_windows
+
+    text = f"{family}{rank}"
+    length = rank + 1 if family == "A" else rank
+    want = [
+        f"[{','.join(map(str, w))}] inv={oracles.inv_of(w, family)} "
+        f"des={oracles.des_of(w, family)} ides={oracles.ides_of(w, family)}"
+        for w in iter_windows(family, length)
+    ]
+    assert len(want) == oracles.count_windows(family, length)
+    rc, out, _ = run(capsys, "enumerate", "--group", text, "--limit", "100000")
+    assert rc == 0
+    assert out.splitlines() == want
+
+
 def test_enumerate_respects_limit(capsys):
     rc, out, _ = run(capsys, "enumerate", "--group", "B3", "--limit", "5")
     assert rc == 0
@@ -564,6 +582,25 @@ _BARE = (
     "exec('from coxstat import *', names)\n"
     "assert set(coxstat.__all__) <= set(names), set(coxstat.__all__) - set(names)\n"
 )
+
+
+_MODULE_FILES = sorted(
+    p.stem for p in Path(coxstat.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+def test_submodule_files_are_the_lazy_submodules():
+    assert _MODULE_FILES == sorted(coxstat._SUBMODULES)
+
+
+@pytest.mark.parametrize("name", _MODULE_FILES)
+def test_submodule_star_import_resolves_its_all(name):
+    # a stale __all__ entry would break `from coxstat.<name> import *`
+    import importlib
+
+    module = importlib.import_module(f"coxstat.{name}")
+    names = {}
+    exec(f"from coxstat.{name} import *", names)
+    assert set(module.__all__) <= set(names), set(module.__all__) - set(names)
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

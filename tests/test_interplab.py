@@ -285,8 +285,12 @@ class TestLagrangeGuess:
                           else Fraction(rng.randint(-5, 5)) for x in xs]
             points = list(zip(xs, values))
             rng.shuffle(points)
-            got = [(f.numerator, f.a, f.b, f.c) for f in lagrange_guess(points)]
+            formulas = lagrange_guess(points)
+            got = [(f.numerator, f.a, f.b, f.c) for f in formulas]
             assert got == oracles.guess_formulas(points), points
+            # lagrange_guess does not recheck its formulas at the points
+            for f in formulas:
+                assert all(f.evaluate(n) == Fraction(v) for n, v in points), (f, points)
 
     def test_all_zero_data_order(self):
         # every denominator fits zero; the sort key ties b against -b, so

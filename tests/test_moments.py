@@ -253,12 +253,10 @@ def test_moments_accept_descriptor_strings():
 
 def test_double_coset_sum_matches_window_enumeration():
     # orbit count over all ordered generator pairs, classical windows
-    from coxstat.elements import simple_reflection
-
     for text, family, length in [("A2", "A", 3), ("A3", "A", 4), ("B3", "B", 3)]:
         d = parse_descriptor(text)
         positions = range(1, length) if family == "A" else range(length)
-        gens = [simple_reflection(family, length, pos).window for pos in positions]
+        gens = [oracles.simple_reflection(family, length, pos) for pos in positions]
         elements = list(oracles.iter_windows(family, length))
         total = 0
         for gs in gens:
@@ -304,7 +302,7 @@ def test_double_coset_sum_equals_descent_pair_counts():
 
 def test_lemma_style_subgroup_factorization():
     # |W| = |W_J| * |{w : Des(w) avoids J}| for every J, window types
-    from coxstat.elements import SignedPermutation, descent_positions, simple_reflection
+    from coxstat.elements import descent_positions
 
     for family, length in [("A", 4), ("B", 3)]:
         positions = list(range(1, length)) if family == "A" else list(range(length))
@@ -314,11 +312,11 @@ def test_lemma_style_subgroup_factorization():
 
         for r in range(len(positions) + 1):
             for J in itertools.combinations(positions, r):
-                gens = [simple_reflection(family, length, pos).window for pos in J]
+                gens = [oracles.simple_reflection(family, length, pos) for pos in J]
                 wj = oracles.generated_subgroup(gens, length) if gens else {tuple(range(1, length + 1))}
                 dj = 0
                 for w in windows:
-                    des = set(descent_positions(SignedPermutation(w, family)))
+                    des = set(descent_positions(w, family))
                     if not des & set(J):
                         dj += 1
                 assert len(wj) * dj == order, (family, J)
