@@ -10,8 +10,8 @@ limits, interplab, verify, cli).
 Importing the package loads no submodule.  A re-exported name, or a
 submodule read as an attribute (coxstat.limits), imports its module on
 first use (PEP 562), so a process pays only for the modules it touches:
-coxstat.gf_des loads groups, rings, tallies, moments and polynomials,
-but not limits, interplab or elements.  numpy comes only with rootsys,
+coxstat.gf_des loads groups, tallies, moments and polynomials, but
+not rings, limits, interplab or elements.  numpy comes only with rootsys,
 the reflection walk, which is loaded when a tally must be walked, an
 exceptional group is enumerated, or a verify suite runs.
 """

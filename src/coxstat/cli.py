@@ -9,12 +9,14 @@ double (2^53 and up) as decimal strings, so consumers that parse
 through floating point cannot silently truncate anything.
 
 Each command imports only the modules it uses.  Every command loads
-groups, moments and polynomials (with rings and tallies); on top of
-those, clt and llt load limits, interp loads interplab (and elements),
-enumerate loads elements for A/B/D and rootsys for any other family,
+groups, moments and polynomials (with tallies); on top of those, clt
+and llt load limits, interp loads interplab (and elements), enumerate
+loads elements for A/B/D and rootsys (with rings) for any other family,
 and verify loads verify, which imports every module.  The reflection
 walk (rootsys, the one module that imports numpy) is otherwise reached
 only through a miss of the tally cache in gf, moments or llt.
+moments --stat inv prints the closed-form summary, which needs no
+histogram.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .groups import parse_descriptor
-from .moments import moments_from_polynomial
+from .moments import mahonian_summary, moments_from_polynomial
 from .polynomials import gf_des, gf_des_plus_ides, gf_inv
 
 __all__ = ["main", "build_parser"]
@@ -75,7 +77,10 @@ def _cmd_gf(args, stream):
 
 def _cmd_moments(args, stream):
     d = parse_descriptor(args.group)
-    summary = moments_from_polynomial(_GF[args.stat](d), k_max=args.k_max)
+    if args.stat == "inv":
+        summary = mahonian_summary(d, k_max=args.k_max)
+    else:
+        summary = moments_from_polynomial(_GF[args.stat](d), k_max=args.k_max)
     _emit({
         "group": str(d),
         "statistic": args.stat,

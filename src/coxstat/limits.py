@@ -16,7 +16,9 @@ evaluation: I2(1) means A1 and I2(2) means A1 x A1, so specs may sweep
 a dihedral parameter from 1 without special-casing the degenerate start.
 
 Sweep rows never build the descriptor: each (term, i) contributes its
-rank, degrees and variances from the per-factor closed forms, and a
+rank, degree sums and variances from the per-factor closed forms, in a
+few integer operations (the rational sums are kept as numerators over
+one common denominator, and a row builds its Fractions once), and a
 prod term whose pieces do not depend on n keeps one running prefix sum
 across the sorted rows, so such a sweep is linear in the range rather
 than quadratic.  SequenceSpec.descriptor and dihedral_parameters stay
@@ -45,7 +47,7 @@ from .groups import (
     factor_m_max,
     irreducible_degrees,
 )
-from .moments import _eulerian_factor_moments, moments_from_polynomial
+from .moments import moments_from_polynomial
 from .polynomials import bernoulli_parameters, descent_root_bag
 
 __all__ = [
@@ -486,53 +488,97 @@ def _range_list(n_range):
     return ns
 
 
-@dataclass(frozen=True)
+def _degree_sums(f):
+    """(sum of d^2 - 1 over the degrees, largest degree) of one factor,
+    in closed form for the families whose rank or label grows."""
+    n = f.rank
+    if f.family == "A":
+        return (n + 1) * (n + 2) * (2 * n + 3) // 6 - n - 1, n + 1
+    if f.family == "B":
+        return 2 * n * (n + 1) * (2 * n + 1) // 3 - n, 2 * n
+    if f.family == "D":
+        k = n - 1
+        return 2 * k * (k + 1) * (2 * k + 1) // 3 - k + n * n - 1, 2 * k
+    if f.family == "I2":
+        return f.m * f.m + 2, f.m
+    degs = irreducible_degrees(f)
+    return sum(v * v - 1 for v in degs), max(degs)
+
+
 class _Aggregate:
-    """Closed-form sums and maxima over a multiset of factors."""
+    """Closed-form sums and maxima over a multiset of factors.
 
-    rank: int = 0
-    factors: int = 0
-    degree_squares: int = 0     # sum of d^2 - 1 over the degrees
-    des_variance: Fraction = Fraction(0)
-    inverse_m_sum: Fraction = Fraction(0)   # over raw I2 parameters
-    nondihedral_rank: int = 0
-    max_degree: int = 0
-    max_edge: int = 0           # largest factor_m_max over rank >= 2 factors
+    The two rational sums are kept as a numerator over the lcm of the
+    denominators seen, so adding a piece costs a gcd and a few products;
+    a row builds its Fractions once, from the totals.
+    """
 
-    def __add__(self, other):
-        return _Aggregate(
-            self.rank + other.rank,
-            self.factors + other.factors,
-            self.degree_squares + other.degree_squares,
-            self.des_variance + other.des_variance,
-            self.inverse_m_sum + other.inverse_m_sum,
-            self.nondihedral_rank + other.nondihedral_rank,
-            max(self.max_degree, other.max_degree),
-            max(self.max_edge, other.max_edge),
-        )
+    __slots__ = ("rank", "factors", "degree_squares", "twelfths", "edge_num",
+                 "edge_den", "inverse_num", "inverse_den", "nondihedral_rank",
+                 "max_degree", "max_edge")
+
+    def __init__(self):
+        self.rank = self.factors = self.degree_squares = 0
+        self.twelfths = 0           # des variance = twelfths / 12 + edge sum
+        self.edge_num, self.edge_den = 0, 1         # copies / m_max, rank >= 2
+        self.inverse_num, self.inverse_den = 0, 1   # over raw I2 parameters
+        self.nondihedral_rank = 0
+        self.max_degree = 0
+        self.max_edge = 0           # largest factor_m_max over rank >= 2 factors
+
+    def add(self, other):
+        self.rank += other.rank
+        self.factors += other.factors
+        self.degree_squares += other.degree_squares
+        self.twelfths += other.twelfths
+        self.edge_num, self.edge_den = _add_ratio(
+            self.edge_num, self.edge_den, other.edge_num, other.edge_den)
+        self.inverse_num, self.inverse_den = _add_ratio(
+            self.inverse_num, self.inverse_den, other.inverse_num, other.inverse_den)
+        self.nondihedral_rank += other.nondihedral_rank
+        self.max_degree = max(self.max_degree, other.max_degree)
+        self.max_edge = max(self.max_edge, other.max_edge)
+
+    def des_variance(self):
+        """sum over factors of (rank - 2) / 12 + 1 / m_max, or 1/4 at rank 1."""
+        return Fraction(self.twelfths * self.edge_den + 12 * self.edge_num,
+                        12 * self.edge_den)
+
+    def inverse_m_sum(self):
+        return self.inverse_num / self.inverse_den
 
 
-_EMPTY = _Aggregate()
+def _add_ratio(num, den, c, d):
+    """num / den + c / d over the lcm of den and d."""
+    g = math.gcd(den, d)
+    if g == d:
+        return num + c * (den // d), den
+    return num * (d // g) + c * (den // g), den * (d // g)
 
 
 def _piece(term, env, n):
     """Aggregate of one (term, i): its labels, taken power times."""
     value, labels, count = _term_labels(term, env, n)
     copies = len(labels) * count  # the labels are copies of one label
+    out = _Aggregate()
     if copies == 0:
-        return _EMPTY
+        return out
     f = labels[0]
-    degs = irreducible_degrees(f)
-    return _Aggregate(
-        rank=copies * f.rank,
-        factors=copies,
-        degree_squares=copies * sum(v * v - 1 for v in degs),
-        des_variance=copies * _eulerian_factor_moments(f)[1],
-        inverse_m_sum=Fraction(count, value) if term.family == "I2" else Fraction(0),
-        nondihedral_rank=0 if f.family == "I2" else copies * f.rank,
-        max_degree=max(degs),
-        max_edge=factor_m_max(f) if f.rank >= 2 else 0,
-    )
+    squares, out.max_degree = _degree_sums(f)
+    out.rank = copies * f.rank
+    out.factors = copies
+    out.degree_squares = copies * squares
+    if f.rank == 1:
+        out.twelfths = 3 * copies
+    else:
+        out.twelfths = copies * (f.rank - 2)
+        out.max_edge = factor_m_max(f)
+        out.edge_num, out.edge_den = copies, out.max_edge
+    if term.family == "I2":
+        out.inverse_num, out.inverse_den = count, value
+    if f.family != "I2":
+        out.nondihedral_rank = copies * f.rank
+    return out
 
 
 class _PrefixSum:
@@ -549,15 +595,15 @@ class _PrefixSum:
         self.term = term
         self.lo = lo
         self.count = 0
-        self.total = _EMPTY
+        self.total = _Aggregate()
 
     def upto(self, hi, n):
         want = max(hi - self.lo + 1, 0)
         if want < self.count:
-            self.count, self.total = 0, _EMPTY
+            self.count, self.total = 0, _Aggregate()
         while self.count < want:
             env = {"n": n, "i": self.lo + self.count}
-            self.total = self.total + _piece(self.term, env, n)
+            self.total.add(_piece(self.term, env, n))
             self.count += 1
         return self.total
 
@@ -576,17 +622,16 @@ def _sweep(spec, ns):
               for t in spec.terms]
     prefix = {}
     for n in ns:
-        parts = []
+        total = _Aggregate()
         for k, term in enumerate(spec.terms):
             if term.prod_range is None:
-                parts.append(_piece(term, {"n": n}, n))
+                total.add(_piece(term, {"n": n}, n))
                 continue
             lo = _eval_expr(term.prod_range[0], {"n": n})
             hi = _eval_expr(term.prod_range[1], {"n": n})
             if not shared[k] or k not in prefix:
                 prefix[k] = _PrefixSum(term, lo)
-            parts.append(prefix[k].upto(hi, n))
-        total = sum(parts[1:], parts[0])
+            total.add(prefix[k].upto(hi, n))
         if total.rank < 1:
             raise ValueError(f"trivial group at n = {n}")
         yield n, total
@@ -690,10 +735,11 @@ def clt_check_des(spec, n_range):
     sums = []
     nd_ranks = []
     for n, agg in _sweep(spec, ns):
-        s_samples.append((n, math.sqrt(float(agg.des_variance))))
-        sums.append((n, float(agg.inverse_m_sum)))
+        var = agg.des_variance()
+        s_samples.append((n, math.sqrt(float(var))))
+        sums.append((n, agg.inverse_m_sum()))
         nd_ranks.append((n, agg.nondihedral_rank))
-        per_n.append((n, agg.rank, agg.des_variance))
+        per_n.append((n, agg.rank, var))
     trend = trend_verdict(s_samples, "s_n")
     kind = spec.classify()
     settled = _settled(kind)

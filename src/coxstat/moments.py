@@ -1,12 +1,15 @@
 """Exact moments and cumulants of the three statistics.
 
-Everything is a Fraction.  The inversion statistic decomposes into a sum
-of independent uniforms on {0, ..., d_i - 1} over the degrees, which
-gives every closed form here; descent moments come per irreducible
-factor from the factor's rank, Coxeter number and largest edge label;
-the two-sided statistic des + ides adds a 1/h correction per factor.
-moments_from_polynomial recovers all of it from any exact histogram and
-is the cross-check path for the closed forms.
+Every returned moment is a Fraction.  The inversion statistic
+decomposes into a sum of independent uniforms on {0, ..., d_i - 1} over
+the degrees, which gives every closed form here, and mahonian_summary
+assembles the whole inversion summary from them; descent moments come
+per irreducible factor from the factor's rank, Coxeter number and
+largest edge label; the two-sided statistic des + ides adds a 1/h
+correction per factor.  moments_from_polynomial recovers all of it from
+any exact histogram, in integers over powers of the total until one
+Fraction per returned value, and is the cross-check path for the
+closed forms.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
+from operator import mul
 
 from .groups import (
     as_descriptor,
@@ -27,6 +31,7 @@ __all__ = [
     "DistributionSummary",
     "mahonian_moments",
     "mahonian_cumulants",
+    "mahonian_summary",
     "eulerian_moments",
     "double_eulerian_moments",
     "moments_from_polynomial",
@@ -78,6 +83,25 @@ def mahonian_cumulants(d, k_max=6):
             for k in range(2, k_max + 1)}
 
 
+def mahonian_summary(d, k_max=6):
+    """The summary moments_from_polynomial gives for gf_inv(d), from the
+    closed forms: mean and variance from mahonian_moments, cumulants
+    from mahonian_cumulants, and central moments from the cumulants by
+    mu_j = sum_i C(j - 1, i - 1) kappa_i mu_(j-i) about the mean."""
+    mean, variance = mahonian_moments(d)
+    cumulants = mahonian_cumulants(d, k_max)
+    mu = [Fraction(1), Fraction(0)]
+    for j in range(2, k_max + 1):
+        mu.append(sum(comb(j - 1, i - 1) * cumulants[i] * mu[j - i] for i in range(2, j + 1)))
+    central = {j: mu[j] for j in range(2, k_max + 1)}
+    normalized = {}
+    if variance > 0:
+        for j in range(3, k_max + 1):
+            ratio = float(cumulants[j] / variance ** (j // 2))
+            normalized[j] = ratio if j % 2 == 0 else ratio / sqrt(float(variance))
+    return DistributionSummary(mean, variance, central, cumulants, normalized)
+
+
 def second_moment_inv_type_b(n):
     """E[inv^2] over the hyperoctahedral group of rank n."""
     if n < 2:
@@ -126,45 +150,53 @@ def double_eulerian_moments(d):
 # histogram route
 
 def moments_from_polynomial(f, k_max=6):
-    """Exact summary of the distribution proportional to the coefficients."""
+    """Exact summary of the distribution proportional to the coefficients.
+
+    Integers until the end: power sums about the centre c of the support
+    come from running products, and with T the total, T^j times the j-th
+    central moment and T^j times the j-th cumulant are integers; each
+    returned rational is one Fraction of such a pair.
+    """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     coeffs = f.coefficients
     total = sum(coeffs)
     if total == 0:
         raise ValueError("zero polynomial has no distribution")
-    raw = {0: Fraction(1)}
-    for j in range(1, k_max + 1):
-        raw[j] = Fraction(sum(c * k ** j for k, c in enumerate(coeffs)), total)
-    mean = raw[1]
-    central = {}
+    centre = len(coeffs) // 2
+    offsets = range(-centre, len(coeffs) - centre)
+    sums = [total]  # sums[j] = sum_k c_k (k - centre)^j
+    terms = coeffs
+    for _ in range(k_max):
+        terms = list(map(mul, terms, offsets))
+        sums.append(sum(terms))
+    shift = sums[1]  # T (mean - centre)
+    tpow, powers = [1], [1]  # T^j and (-shift)^j
+    for _ in range(k_max):
+        tpow.append(tpow[-1] * total)
+        powers.append(powers[-1] * -shift)
+    # scaled[j] = T^j mu_j = sum_i C(j, i) sums[i] T^(i-1) (-shift)^(j-i),
+    # where i = 0 and 1 give (1 - j) (-shift)^j, and kappas[j] = T^j kappa_j
+    # by the moment-cumulant recurrence about the mean (mu_1 = kappa_1 = 0)
+    scaled, kappas = {}, {}
     for j in range(2, k_max + 1):
-        acc = Fraction(0)
-        for i in range(j + 1):
-            acc += comb(j, i) * raw[i] * (-mean) ** (j - i)
-        central[j] = acc
-    cumulants = {}
-    prev = {1: mean}
-    for j in range(2, k_max + 1):
-        acc = raw[j]
-        for i in range(1, j):
-            acc -= comb(j - 1, i - 1) * prev[i] * raw[j - i]
-        prev[j] = acc
-        cumulants[j] = acc
-    variance = central[2]
+        scaled[j] = (1 - j) * powers[j] + sum(
+            comb(j, i) * sums[i] * tpow[i - 1] * powers[j - i] for i in range(2, j + 1))
+        kappas[j] = scaled[j] - sum(comb(j - 1, i - 1) * kappas[i] * scaled[j - i]
+                                    for i in range(2, j - 1))
+    central = {j: Fraction(v, tpow[j]) for j, v in scaled.items()}
+    m2 = scaled[2]
     normalized = {}
-    if variance > 0:
-        fvar = float(variance)
+    if m2 > 0:
+        # kappa_j / var^(j/2), odd j as kappa_j / var^((j-1)/2) / sqrt(var)
         for j in range(3, k_max + 1):
-            if j % 2 == 0:
-                normalized[j] = float(cumulants[j] / variance ** (j // 2))
-            else:
-                normalized[j] = float(cumulants[j] / variance ** ((j - 1) // 2)) / sqrt(fvar)
+            ratio = kappas[j] / (m2 ** (j // 2) * tpow[j % 2])
+            normalized[j] = ratio if j % 2 == 0 else ratio / sqrt(m2 / tpow[2])
     return DistributionSummary(
-        mean=mean,
-        variance=variance,
+        mean=Fraction(sums[1] + centre * total, total),
+        variance=central[2],
         central_moments=central,
-        cumulants=cumulants,
+        cumulants={j: Fraction(v, tpow[j]) for j, v in kappas.items()},
         normalized_cumulants=normalized,
     )
 

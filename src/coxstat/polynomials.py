@@ -2,16 +2,24 @@
 
 gf_inv is the product of z-integers over the degrees, so it never needs
 enumeration; each factor [d]_z is applied as a running window sum of
-the coefficients, linear in their number.  gf_des builds the type A and
-B rows from power sums (half of sum_k (ck + 1)^e t^k, repeatedly
+the coefficients, linear in their number, and only up to half the
+final degree, since the product is palindromic.  gf_des builds the type
+A and B rows from power sums (half of sum_k (ck + 1)^e t^k, repeatedly
 differenced, then mirrored) and type D by the B-to-D relation (the
 gf-des suite of ``coxstat verify`` checks them against window
 enumeration on small ranks and against the closed-form moments at rank
 about 100); exceptional factors fall back to the reflection-walk tally,
-read through the cache in tallies.  Root extraction for descent
-polynomials is exact integer arithmetic (square-free parts by gcds,
-Descartes' rule of signs with bisection, then sign bisection of each
-isolating interval) and only rounds at the very end.
+read through the cache in tallies.
+
+Root extraction for descent polynomials decides everything in integers.
+Square-freeness comes from a gcd modulo one prime, with the exact gcd
+only when that one is not constant; Descartes' rule of signs with
+bisection isolates the roots; each isolated root is a float Newton
+guess, polished by exact Newton steps and certified as the nearest
+float by exact signs at the midpoints to its float neighbours, with
+exact sign bisection of the interval when it does not certify.  The
+residual check evaluates the polynomial at each float root by integer
+Horner.
 """
 
 from __future__ import annotations
@@ -19,12 +27,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, ldexp
+from itertools import accumulate, chain, repeat
+from math import gcd, inf, ldexp, nextafter
 from operator import sub
 
 from .groups import as_descriptor, irreducible_degrees
-from .rings import _poly_divmod_int
 from .tallies import cached_tally
 
 __all__ = [
@@ -117,16 +124,21 @@ def gf_inv(d):
 
     Multiplying by [v]_z replaces each coefficient with the sum of the
     last v coefficients, so each degree costs one running window sum,
-    O(len) integer additions, rather than a schoolbook product.
+    O(len) integer additions, rather than a schoolbook product.  The
+    product is palindromic and coefficient k only reads coefficients up
+    to k, so the sums stop at half the final degree and are mirrored.
     """
     d = as_descriptor(d)
+    degs = [v for f in d.factors for v in irreducible_degrees(f)]
+    top = sum(v - 1 for v in degs)
     coeffs = [1]
-    for f in d.factors:
-        for v in irreducible_degrees(f):
-            sums = [0, *accumulate(coeffs + [0] * (v - 1))]
-            # coefficient k of the product is sums[k + 1] - sums[k + 1 - v]
-            coeffs = list(map(sub, sums[1:], [0] * (v - 1) + sums[:len(coeffs)]))
-    return ExactPolynomial(tuple(coeffs))
+    for v in degs:
+        size = min(len(coeffs) + v - 1, top // 2 + 1)
+        sums = [0, *accumulate(coeffs + [0] * (size - len(coeffs)))]
+        # coefficient k of the product is sums[k + 1] - sums[k + 1 - v]
+        coeffs = list(map(sub, sums[1:], chain(repeat(0, v - 1), sums)))
+    # the middle entry once when top is even
+    return ExactPolynomial(tuple(coeffs + coeffs[::-1][1 - top % 2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +261,33 @@ class RootBag:
 
 def _sign_at(coeffs, num, shift):
     """Sign of the integer polynomial at num / 2**shift, in integers."""
+    acc = _scaled_value(coeffs, num, shift)
+    return (acc > 0) - (acc < 0)
+
+
+def _scaled_value(coeffs, num, shift):
+    """2**(shift * deg) times the integer polynomial at num / 2**shift."""
     acc = 0
     for i, c in enumerate(reversed(coeffs)):
         acc = acc * num + (c << (shift * i))
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _poly_divmod_int(num, den):
+    """Exact division of integer polynomial lists, constant term first."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        lead = num[k + len(den) - 1]
+        q, r = divmod(lead, den[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        out[k] = q
+        for i, c in enumerate(den):
+            num[k + i] -= q * c
+    if any(num):
+        raise ArithmeticError("nonzero remainder in polynomial division")
+    return out
 
 
 def _derivative(p):
@@ -278,21 +313,47 @@ def _gcd(a, b):
     return _primitive(a)
 
 
-def _taylor_shift(p):
-    """Coefficients of p(x + 1)."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += p[j + 1]
-    return p
+_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1)
 
 
-def _bisect(coeffs, lo, shift):
-    """The float nearest the one root of coeffs in (lo, lo + 1) / 2**shift.
+def _coprime_mod_p(a, b):
+    """True when gcd(a, b) is constant modulo a prime p not dividing lead(a).
 
-    If lo is an exact root, the sign just right of it is that of coeffs'.
+    A non-constant rational gcd g of a and b divides a in Z[x], so lead(g)
+    divides lead(a), and g mod p keeps its degree and divides both images.
+    A True answer therefore means the rational gcd is constant too.
     """
-    sa = _sign_at(coeffs, lo, shift) or _sign_at(_derivative(coeffs), lo, shift)
+    p = next((q for q in _PRIMES if a[-1] % q), None)
+    if p is None:
+        return False
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            k = len(a) - len(b)
+            lead = a.pop() * inv % p
+            a[k:] = [(x - lead * c) % p for x, c in zip(a[k:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _taylor_shift(p):
+    """Coefficients of p(x + 1): pass i of the synthetic divisions by
+    x - 1 replaces p[i:] by its suffix sums, a running sum from the top."""
+    top = p[::-1]
+    for i in range(len(p) - 1, 0, -1):
+        top[:i + 1] = accumulate(top[:i + 1])
+    return top[::-1]
+
+
+def _bisect(coeffs, lo, shift, sa):
+    """The float nearest the one root of coeffs in (lo, lo + 1) / 2**shift,
+    where coeffs has sign sa just right of lo."""
     while lo / (1 << shift) != (lo + 1) / (1 << shift):
         lo, shift = 2 * lo, shift + 1
         sm = _sign_at(coeffs, lo + 1, shift)
@@ -301,6 +362,100 @@ def _bisect(coeffs, lo, shift):
         if sm == sa:
             lo += 1
     return lo / (1 << shift)
+
+
+def _float_newton(fc, a, b, sa):
+    """Safeguarded float Newton for the root of fc (highest degree first)
+    on (a, b), where fc has sign sa just right of a; b may be infinite."""
+    x = (a + b) / 2 if b < inf else 2 * a + 1
+    for _ in range(200):
+        f = df = 0.0
+        for c in fc:
+            df = df * x + f
+            f = f * x + c
+        if f == 0:
+            return x
+        if (f > 0) == (sa > 0):
+            a = x
+        else:
+            b = x
+        nx = x - f / df if df else x
+        if not a < nx < b:
+            nx = (a + b) / 2 if b < inf else 2 * x
+        if nx == x or nx == a or nx == b:
+            return x
+        x = nx
+    return x
+
+
+def _estimate(g, e, lo, shift, sa):
+    """Float guess of the root of g in 2**e (lo, lo + 1) / 2**shift, found
+    on the coefficients of g as floats (at most 2**1000, so the
+    conversion cannot overflow) or, above 1, on g reversed at 1 / x."""
+    if e > 1000:
+        return None
+    drop = max(0, max(abs(c).bit_length() for c in g) - 1000)
+    fc = [float(c >> drop) for c in g]
+    a, b = ldexp(lo, e - shift), ldexp(lo + 1, e - shift)
+    if b <= 2:
+        return _float_newton(fc[::-1], a, b, sa)
+    return 1 / _float_newton(fc, 1 / b, 1 / a if a else inf, -sa)
+
+
+def _root_float(g, e, p, lo, shift):
+    """The float nearest the one root of p(y) = g(2**e y) in
+    (lo, lo + 1) / 2**shift, on the scale of p.
+
+    A float guess is polished by exact Newton steps, each rounded to a
+    float, until it stops moving; it is returned once exact signs at the
+    midpoints to its two float neighbours bracket the root.  A guess
+    that leaves the interval or does not settle falls back to sign
+    bisection of the whole interval.
+    """
+    dp = _derivative(p)
+    # if lo is an exact root, the sign just right of it is that of p'
+    sa = _sign_at(p, lo, shift) or _sign_at(dp, lo, shift)
+    x = _estimate(g, e, lo, shift, sa)
+    if x is None or not 0 < x < inf:
+        return _bisect(p, lo, shift, sa)
+    y = ldexp(x, -e)
+    for _ in range(8):
+        m, t = y.as_integer_ratio()
+        t = t.bit_length() - 1
+        slope = _scaled_value(dp, m, t)
+        num, den = m * slope - _scaled_value(p, m, t), slope << t
+        if den < 0:
+            num, den = -num, -den
+        # the step y - p(y) / p'(y) = num / den must stay inside the interval
+        if not (lo * den < num << shift < (lo + 1) * den):
+            break
+        y, y0 = num / den, y
+        if y == y0:
+            if _brackets(p, lo, shift, sa, y):
+                return y
+            break
+    return _bisect(p, lo, shift, sa)
+
+
+def _brackets(p, lo, shift, sa, y):
+    """True when exact signs put the root of p in (lo, lo + 1) / 2**shift
+    strictly between the midpoints from the float y to its two float
+    neighbours, so that y is the float nearest that root.  A midpoint
+    outside the interval needs no sign: the root is inside."""
+    m, t = y.as_integer_ratio()
+    t = t.bit_length() - 1
+    for side, want in ((0.0, sa), (inf, -sa)):
+        mn, tn = nextafter(y, side).as_integer_ratio()
+        tn = tn.bit_length() - 1
+        top = max(t, tn) + 1
+        mid = (m << (top - 1 - t)) + (mn << (top - 1 - tn))  # over 2**top
+        if want == sa:
+            inside = mid << shift > lo << top
+        else:
+            inside = mid << shift < (lo + 1) << top
+        if inside and _sign_at(p, mid, top) != want:
+            return False
+    return True
 
 
 def _positive_roots(g):
@@ -319,10 +474,13 @@ def _positive_roots(g):
     stack = [(0, 0, p)]
     while stack:
         k, c, q = stack.pop()
+        # a power of two common to every coefficient changes no sign
+        twos = min((a & -a).bit_length() for a in q if a) - 1
+        q = [a >> twos for a in q]
         signs = [a > 0 for a in _taylor_shift(q[::-1]) if a]
         v = sum(a != b for a, b in zip(signs, signs[1:]))
         if v == 1:
-            found.append(_bisect(p, c, k))
+            found.append(_root_float(g, e, p, c, k))
         elif v > 1:
             left = [a << (len(q) - 1 - i) for i, a in enumerate(q)]
             right = _taylor_shift(left)
@@ -334,13 +492,11 @@ def _positive_roots(g):
 
 
 def _exact_residual(coeffs, q):
-    """|f(-q)| / f(q) as a float, with q lifted to an exact binary rational."""
-    x = Fraction(q)
-    num = den = Fraction(0)
-    for c in reversed(coeffs):
-        num = num * -x + c
-        den = den * x + c
-    return float(abs(num) / den)
+    """|f(-q)| / f(q) as a float, with q = m / 2**s read off the float:
+    integer Horner on m with shifts, and one division at the end."""
+    m, s = q.as_integer_ratio()
+    s = s.bit_length() - 1
+    return abs(_scaled_value(coeffs, -m, s)) / _scaled_value(coeffs, m, s)
 
 
 def negated_real_roots(f):
@@ -349,6 +505,8 @@ def negated_real_roots(f):
     Round j finds the positive roots of the square-free h_j / h_{j+1}, where
     h_1(x) = f(-x) and h_{j+1} = gcd(h_j, h_j'): the roots of multiplicity
     at least j.  The count is exact, so f is real-rooted iff it is deg f.
+    Each gcd is first settled modulo one prime; the exact gcd runs only
+    when that one is not constant.
     """
     coeffs = list(f.coefficients)
     if not coeffs:
@@ -358,7 +516,8 @@ def negated_real_roots(f):
     h = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
     roots = []
     while len(h) > 1:
-        d = _gcd(h, _derivative(h))
+        dh = _derivative(h)
+        d = [1] if _coprime_mod_p(h, dh) else _gcd(h, dh)
         roots += _positive_roots(_poly_divmod_int(h, d))
         h = d
     if len(roots) < len(coeffs) - 1:

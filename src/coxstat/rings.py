@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .polynomials import _poly_divmod_int
+
 __all__ = [
     "CycloInt",
     "cyclotomic_polynomial",
@@ -23,23 +25,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # cyclotomic machinery
-
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomial lists, constant term first."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        lead = num[k + len(den) - 1]
-        q, r = divmod(lead, den[-1])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[k] = q
-        for i, c in enumerate(den):
-            num[k + i] -= q * c
-    if any(num):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
-
 
 def cyclotomic_polynomial(N):
     """Coefficients of the N-th cyclotomic polynomial, constant term first.

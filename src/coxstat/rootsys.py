@@ -69,6 +69,8 @@ DEFAULT_ENUM_CAP = 5_000_000
 
 TALLY_STATISTICS = ("inv", "des", "des_plus_ides")
 
+_TALLY_BLOCK = 1 << 13  # rows per block of the left-descent scan
+
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -223,16 +225,20 @@ def _bfs_levels(rs):
         total += len(acts)
         yield length, acts
         pos = acts[:, :head] > 0
-        chunks = []
-        for s in range(n):
-            mask = pos[:, guards[s]].all(axis=1)
-            sub = acts[mask].take(perms[s], axis=1)
-            sub[:, s] = -sub[:, s]
-            chunks.append(sub)
-        acts = np.concatenate(chunks, axis=0)
+        # the chunk list is a temporary: no chunk outlives the concatenation
+        acts = np.concatenate([_extend(acts, pos[:, guards[s]].all(axis=1), perms[s], s)
+                               for s in range(n)], axis=0)
         length += 1
     if total != order:
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
+
+
+def _extend(acts, mask, perm, s):
+    """The rows of acts selected by mask, each extended by s: a gather by
+    s's permutation and a sign flip at s."""
+    sub = acts[mask].take(perm, axis=1)
+    sub[:, s] = -sub[:, s]
+    return sub
 
 
 def _sorted_levels(rs):
@@ -283,11 +289,15 @@ def statistics_tally(rs, statistic):
     size = n + 1 if statistic == "des" else 2 * n + 1
     counts = np.zeros(size, dtype=np.int64)
     for _, acts in _bfs_levels(rs):
-        neg = acts < 0
-        vals = neg[:, :n].sum(axis=1)
+        # right descents: the negative entries among the n simple positions
+        vals = (acts[:, :n] < 0).sum(axis=1)
         if statistic == "des_plus_ides":
-            vals = vals + (neg & (acts >= -n)).sum(axis=1)
-        counts += np.bincount(vals.astype(np.int64), minlength=size)
+            # left descents: the entries -1..-n, anywhere in the row; row
+            # blocks keep the temporaries to a fixed size
+            for lo in range(0, len(acts), _TALLY_BLOCK):
+                block = acts[lo:lo + _TALLY_BLOCK]
+                vals[lo:lo + _TALLY_BLOCK] += ((block < 0) & (block >= -n)).sum(axis=1)
+        counts += np.bincount(vals, minlength=size)
     return tuple(int(c) for c in counts)
 
 

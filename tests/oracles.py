@@ -305,6 +305,177 @@ def guess_formulas(points):
     return sorted(found, key=lambda f: (f[3], abs(f[1]), abs(f[2]), len(f[0]), f[0]))
 
 
+def inv_polynomial(degrees):
+    """Coefficients of the product of [d]_z over the degrees, by running
+    window sums over every coefficient of every partial product."""
+    coeffs = [1]
+    for v in degrees:
+        sums = [0, *itertools.accumulate(coeffs + [0] * (v - 1))]
+        coeffs = [sums[k + 1] - (sums[k + 1 - v] if k + 1 >= v else 0)
+                  for k in range(len(coeffs) + v - 1)]
+    return coeffs
+
+
+def summary_of_histogram(coeffs, k_max):
+    """(mean, central moments, cumulants, normalized cumulants) of the
+    distribution proportional to coeffs, in Fractions from raw moments."""
+    total = sum(coeffs)
+    raw = {0: Fraction(1)}
+    for j in range(1, k_max + 1):
+        raw[j] = Fraction(sum(c * k ** j for k, c in enumerate(coeffs)), total)
+    mean = raw[1]
+    central = {j: sum(math.comb(j, i) * raw[i] * (-mean) ** (j - i) for i in range(j + 1))
+               for j in range(2, k_max + 1)}
+    kappa = {1: mean}
+    for j in range(2, k_max + 1):
+        kappa[j] = raw[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * raw[j - i]
+                                for i in range(1, j))
+    cumulants = {j: kappa[j] for j in range(2, k_max + 1)}
+    var = central[2]
+    normalized = {}
+    if var > 0:
+        for j in range(3, k_max + 1):
+            if j % 2 == 0:
+                normalized[j] = float(cumulants[j] / var ** (j // 2))
+            else:
+                normalized[j] = (float(cumulants[j] / var ** ((j - 1) // 2))
+                                 / math.sqrt(float(var)))
+    return mean, central, cumulants, normalized
+
+
+def _sign_at(coeffs, num, shift):
+    acc = 0
+    for i, c in enumerate(reversed(coeffs)):
+        acc = acc * num + (c << (shift * i))
+    return (acc > 0) - (acc < 0)
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _primitive(p):
+    g = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _poly_gcd(a, b):
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            k = len(r) - len(b)
+            r = [b[-1] * c for c in r[:k]] + [
+                b[-1] * c - r[-1] * d for c, d in zip(r[k:-1], b)]
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r) if r else []
+    return _primitive(a)
+
+
+def _poly_quotient(num, den):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        out[k], r = divmod(num[k + len(den) - 1], den[-1])
+        assert r == 0
+        for i, c in enumerate(den):
+            num[k + i] -= out[k] * c
+    assert not any(num)
+    return out
+
+
+def _taylor_shift(p):
+    """p(x + 1): n passes of suffix sums, each a running sum from the top."""
+    top = p[::-1]
+    for i in range(len(p) - 1, 0, -1):
+        top[:i + 1] = itertools.accumulate(top[:i + 1])
+    return top[::-1]
+
+
+def _bisect(coeffs, lo, shift):
+    sa = _sign_at(coeffs, lo, shift) or _sign_at(_derivative(coeffs), lo, shift)
+    while lo / (1 << shift) != (lo + 1) / (1 << shift):
+        lo, shift = 2 * lo, shift + 1
+        sm = _sign_at(coeffs, lo + 1, shift)
+        if sm == 0:
+            return (lo + 1) / (1 << shift)
+        if sm == sa:
+            lo += 1
+    return lo / (1 << shift)
+
+
+def _positive_roots(g):
+    lead = abs(g[-1]).bit_length()
+    e = max(0, 1 + max(-((lead - 1 - abs(c).bit_length()) // i)
+                       for i, c in enumerate(reversed(g[:-1]), 1)))
+    p = [c << (e * i) for i, c in enumerate(g)]
+    found = []
+    stack = [(0, 0, p)]
+    while stack:
+        k, c, q = stack.pop()
+        signs = [a > 0 for a in _taylor_shift(q[::-1]) if a]
+        v = sum(a != b for a, b in zip(signs, signs[1:]))
+        if v == 1:
+            found.append(_bisect(p, c, k))
+        elif v > 1:
+            left = [a << (len(q) - 1 - i) for i, a in enumerate(q)]
+            right = _taylor_shift(left)
+            if right[0] == 0:
+                found.append((2 * c + 1) / (1 << (k + 1)))
+                right = right[1:]
+            stack += [(k + 1, 2 * c, left), (k + 1, 2 * c + 1, right)]
+    return [math.ldexp(y, e) for y in found]
+
+
+def negated_roots(coeffs):
+    """(sorted q_i descending, residual bound) for f = coeffs with roots
+    -q_i: exact gcds of h(x) = f(-x) with h', Descartes bisection, sign
+    bisection of every isolating interval down to one float, and the
+    residual |f(-q)| / f(q) in Fractions; None when not real-rooted."""
+    h = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    roots = []
+    while len(h) > 1:
+        d = _poly_gcd(h, _derivative(h))
+        roots += _positive_roots(_poly_quotient(h, d))
+        h = d
+    if len(roots) < len(coeffs) - 1:
+        return None
+    residual = 0.0
+    for q in roots:
+        x = Fraction(q)
+        num = den = Fraction(0)
+        for c in reversed(coeffs):
+            num = num * -x + c
+            den = den * x + c
+        residual = max(residual, float(abs(num) / den))
+    return tuple(sorted(roots, reverse=True)), residual
+
+
+def classical_degrees(family, n):
+    """Degrees of A_n, B_n or D_n, written out."""
+    if family == "A":
+        return list(range(2, n + 2))
+    evens = [2 * k for k in range(1, n + 1)]
+    return evens if family == "B" else evens[:-1] + [n]
+
+
+def variance_of_tally(counts):
+    mu1, mu2 = moments_of_tally(counts, 2)
+    return mu2 - mu1 ** 2
+
+
+def dihedral_product(n):
+    """The factors of prod(I2(i), i=1..n) as (degrees, descent tally)
+    pairs: I2(1) is A1 and I2(2) is A1 x A1."""
+    out = []
+    for i in range(1, n + 1):
+        if i <= 2:
+            out += [((2,), [1, 1])] * i
+        else:
+            out.append(((2, i), [1, 2 * i - 2, 1]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # frozen small values, checked by hand from the definitions above
 

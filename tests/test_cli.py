@@ -14,6 +14,7 @@ import coxstat
 from coxstat.cli import main
 from coxstat.groups import parse_descriptor
 from coxstat.limits import clt_check_des, clt_check_inv, llt_sup_distance
+from coxstat.moments import moments_from_polynomial
 from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
 from coxstat import tallies
 from coxstat.tallies import write_tally_file
@@ -157,6 +158,35 @@ def test_moments_e6_inversions(capsys):
     assert doc["group"] == "E6"
     assert doc["cumulants"]["2"] == "29"
     assert set(doc["normalized_cumulants"]) == {"3", "4", "5", "6"}
+
+
+@pytest.mark.parametrize("k_max", ["2", "6", "8"])
+def test_moments_inv_prints_the_histogram_summary(capsys, k_max):
+    # the closed-form route prints what the gf_inv histogram gives
+    for text in ["A1", "A5", "B4", "D6", "E6", "F4", "H4", "I2(7)",
+                 "A3 x I2(7) x B2", "E8"]:
+        rc, out, _ = run(capsys, "moments", "--group", text, "--stat", "inv",
+                         "--k-max", k_max)
+        assert rc == 0
+        s = moments_from_polynomial(gf_inv(text), k_max=int(k_max))
+        want = {
+            "group": str(parse_descriptor(text)),
+            "statistic": "inv",
+            "mean": str(s.mean),
+            "variance": str(s.variance),
+            "central_moments": {str(k): str(v) for k, v in s.central_moments.items()},
+            "cumulants": {str(k): str(v) for k, v in s.cumulants.items()},
+            "normalized_cumulants": {str(k): v for k, v in s.normalized_cumulants.items()},
+        }
+        assert out == json.dumps(want, separators=(",", ":")) + "\n", text
+
+
+def test_moments_inv_of_a3000(capsys):
+    rc, out, _ = run(capsys, "moments", "--group", "A3000", "--stat", "inv")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["mean"] == str(Fraction(3000 * 3001, 4))
+    assert doc["central_moments"]["3"] == "0"
 
 
 def test_moments_rational_encoding(capsys):
@@ -525,11 +555,11 @@ _COLD = (
 
 _NOT_GF = ("coxstat.limits", "coxstat.interplab", "coxstat.elements")
 _UNUSED = {
-    "gf": _NOT_GF,
-    "moments": _NOT_GF,
+    "gf": _NOT_GF + ("coxstat.rings",),
+    "moments": _NOT_GF + ("coxstat.rings",),
     "--help": _NOT_GF,
-    "llt": ("coxstat.interplab", "coxstat.elements"),
-    "clt": ("coxstat.interplab", "coxstat.elements"),
+    "llt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings"),
+    "clt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings"),
     "interp": ("coxstat.limits",),
     "enumerate": ("coxstat.limits", "coxstat.interplab"),
 }

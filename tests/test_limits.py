@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from coxstat.groups import degrees, descriptor, irreducible, m_max, rank
 from coxstat.limits import (
     SequenceSpec,
@@ -400,3 +401,45 @@ class TestLocalLimit:
         g = gf_des(irreducible("B", 4))
         assert (llt_sup_distance(ExactPolynomial(tuple(reversed(g.coefficients))))
                 .distance == pytest.approx(llt_sup_distance(g).distance, abs=1e-15))
+
+
+# ---------------------------------------------------------------------------
+# sweep rows against the groups written out
+
+@pytest.mark.parametrize("family", "ABD")
+def test_classical_sweep_rows_match_degrees_and_descent_rows(family):
+    lo = {"A": 1, "B": 2, "D": 4}[family]
+    ns = range(lo, 61)
+    inv = clt_check_inv(f"{family}(n)", ns)
+    des = clt_check_des(f"{family}(n)", ns)
+    rows = (oracles.descent_rows_d(60) if family == "D"
+            else dict(enumerate(oracles.eulerian_rows(1 if family == "A" else 2, 60))))
+    ratios = dict(inv.ratio.samples)
+    sigmas = dict(des.trend.samples)
+    for (n, rank, d_n, var), (n2, rank2, des_var) in zip(inv.per_n, des.per_n):
+        degs = oracles.classical_degrees(family, n)
+        want = Fraction(sum(v * v - 1 for v in degs), 12)
+        assert (n, rank, d_n, var) == (n2, n, max(degs), want)
+        assert ratios[n] == max(degs) / math.sqrt(float(want))
+        assert (rank2, des_var) == (n, oracles.variance_of_tally(rows[n]))
+        assert sigmas[n] == math.sqrt(float(des_var))
+    assert all(v == 0.0 for _, v in des.partial_sums)
+    assert des.nondihedral_ranks == tuple((n, n) for n in ns)
+
+
+def test_dihedral_sweep_rows_match_the_factors_written_out():
+    ns = range(1, 90)
+    inv = clt_check_inv(EX1, ns)
+    des = clt_check_des(EX1, ns)
+    ratios = dict(inv.ratio.samples)
+    sums = dict(des.partial_sums)
+    for (n, rank, d_n, var), (_, rank2, des_var) in zip(inv.per_n, des.per_n):
+        factors = oracles.dihedral_product(n)
+        degs = [v for f, _ in factors for v in f]
+        want = Fraction(sum(v * v - 1 for v in degs), 12)
+        assert (rank, d_n, var) == (len(degs), max(degs), want)
+        assert ratios[n] == max(degs) / math.sqrt(float(want))
+        assert rank2 == rank
+        assert des_var == sum(oracles.variance_of_tally(t) for _, t in factors)
+        assert sums[n] == float(sum(Fraction(1, i) for i in range(1, n + 1)))
+    assert des.nondihedral_ranks == tuple((n, 1 if n == 1 else 3) for n in ns)

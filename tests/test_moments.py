@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,6 +11,7 @@ from coxstat.moments import (
     eulerian_moments,
     mahonian_cumulants,
     mahonian_moments,
+    mahonian_summary,
     moments_from_polynomial,
     second_moment_inv_type_b,
 )
@@ -219,6 +221,44 @@ def test_moments_from_polynomial_point_mass():
     assert s.normalized_cumulants == {}
     with pytest.raises(ValueError):
         moments_from_polynomial(ExactPolynomial(()))
+
+
+def _histograms():
+    rng = random.Random(11)
+    yield from (gf_inv(t) for t in ["A1", "A9", "B6 x I2(11)", "E8", "D30"])
+    yield from (gf_des(t) for t in ["A1", "A7", "B40", "D25", "I2(9) x A3"])
+    yield from (ExactPolynomial(c) for c in [(1,), (0, 0, 5), (3, 0, 0, 1), (0, 2, 7)])
+    for length in (2, 5, 17, 64):
+        yield ExactPolynomial(tuple(rng.choice((0, 1, rng.randrange(10 ** 30)))
+                                    for _ in range(length - 1)) + (1,))
+
+
+@pytest.mark.parametrize("k_max", [2, 5, 8])
+def test_moments_from_polynomial_matches_the_fraction_oracle(k_max):
+    # raw moments, central moments and cumulants in Fractions, bit for bit
+    for f in _histograms():
+        s = moments_from_polynomial(f, k_max=k_max)
+        mean, central, cumulants, normalized = oracles.summary_of_histogram(
+            list(f.coefficients), k_max)
+        assert (s.mean, s.variance) == (mean, central[2]), f
+        assert s.central_moments == central, f
+        assert s.cumulants == cumulants, f
+        assert repr(s.normalized_cumulants) == repr(normalized), f
+        assert all(type(v) is Fr for v in [s.mean, *central.values(), *cumulants.values()])
+
+
+_SUMMARY_GROUPS = ["A1", "A5", "B4", "D6", "E6", "F4", "H4", "I2(7)", "A3 x I2(7) x B2", "E8"]
+
+
+@pytest.mark.parametrize("k_max", [2, 6, 8])
+def test_mahonian_summary_matches_the_histogram(k_max):
+    for text in _SUMMARY_GROUPS:
+        closed = mahonian_summary(text, k_max=k_max)
+        hist = moments_from_polynomial(gf_inv(text), k_max=k_max)
+        assert closed == hist, text
+        assert repr(closed) == repr(hist), text
+    with pytest.raises(ValueError, match="k_max must be at least 2"):
+        mahonian_summary("A3", k_max=1)
 
 
 def test_cumulants_additive_over_products():

@@ -262,7 +262,6 @@ def test_structural_checks_cases():
     rep = structural_checks(P(1, 0, 0, 1))
     assert rep.palindromic and not rep.no_internal_zeros
     assert rep.log_concave  # vacuously; the zero flag is the warning
-    assert not rep.unimodal or True  # 1,0,0,1 falls then rises
     assert not structural_checks(P(1, 0, 0, 1)).unimodal
     rep = structural_checks(P(2, 1, 3))
     assert not rep.unimodal and not rep.log_concave
@@ -337,7 +336,8 @@ def test_roots_on_split_points_are_exact():
     assert bag.residual_bound == 0.0
 
 
-@pytest.mark.parametrize("text", ["A2", "A7", "B11", "D13", "I2(17)", "F4", "E6"])
+@pytest.mark.parametrize("text", ["A2", "A7", "B11", "D13", "I2(17)", "F4", "E6",
+                                  "A30", "B30", "D30", "A60"])
 def test_roots_are_nearest_floats(text):
     # h(x) = f(-x) changes sign between the midpoints to each root's
     # float neighbours, so no other float is closer to a true root
@@ -354,6 +354,84 @@ def test_roots_are_nearest_floats(text):
         lo = (Fraction(q) + Fraction(math.nextafter(q, 0))) / 2
         hi = (Fraction(q) + Fraction(math.nextafter(q, math.inf))) / 2
         assert sign(lo) * sign(hi) < 0, (text, q)
+
+
+_ROOT_GROUPS = {
+    "A": [f"A{n}" for n in range(1, 61)],
+    "B": [f"B{n}" for n in range(2, 41)],
+    "D": [f"D{n}" for n in range(4, 41)],
+    "I2": [f"I2({m})" for m in range(3, 41)],
+    "EFH": ["E6", "F4", "H3", "H4"],
+}
+
+
+@pytest.mark.parametrize("family", _ROOT_GROUPS)
+def test_descent_root_bag_matches_the_bisection_oracle(family):
+    # every value and the residual bound, bit for bit, against exact gcds,
+    # bisection of each isolating interval and a Fraction residual
+    for text in _ROOT_GROUPS[family]:
+        bag = descent_root_bag(text)
+        want = oracles.negated_roots(list(gf_des(text).coefficients))
+        assert (bag.values, bag.residual_bound) == want, text
+
+
+@pytest.mark.parametrize("family", _ROOT_GROUPS)
+def test_gf_inv_half_sums_match_the_full_window_sums(family):
+    for text in _ROOT_GROUPS[family]:
+        d = parse_descriptor(text)
+        assert list(gf_inv(d).coefficients) == oracles.inv_polynomial(degrees(d)), text
+
+
+def _linear_product(pairs):
+    """prod (b + a z) over the pairs (b, a): the roots are -b / a."""
+    return product(P(b, a) for b, a in pairs)
+
+
+def test_roots_match_the_oracle_on_awkward_polynomials():
+    # roots halfway between two floats (ties), dyadic roots, clusters,
+    # repeats and a wide spread take every branch of the float
+    # certification and of the bisection fallback
+    rng = random.Random(5)
+    cases = [
+        [(2 ** 53 + 1, 2 ** 53), (1, 1)],
+        [(3 * 2 ** 52 + 1, 2 ** 52), (2 ** 53 + 1, 2 ** 53), (5, 1)],
+        [(10 ** 12, 10 ** 12), (10 ** 12 + 1, 10 ** 12), (10 ** 12 + 2, 10 ** 12)],
+        [(1, 1)] * 3 + [(2, 1)] * 2 + [(3, 7)],
+        [(1, 2 ** 40), (2 ** 40, 1), (3, 7), (1, 1)],
+        [(45, 64), (3, 8), (1, 2)],
+    ]
+    cases += [[(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+               for _ in range(rng.randint(1, 9))] for _ in range(40)]
+    for pairs in cases:
+        f = _linear_product(pairs)
+        values, residual = oracles.negated_roots(list(f.coefficients))
+        if residual > 1e-12:
+            with pytest.raises(ValueError, match="residual"):
+                negated_real_roots(f)
+            continue
+        bag = negated_real_roots(f)
+        assert (bag.values, bag.residual_bound) == (values, residual), pairs
+
+
+def test_repeated_roots_take_the_exact_gcd(monkeypatch):
+    import coxstat.polynomials as polynomials
+
+    calls = []
+    exact = polynomials._gcd
+
+    def counted(a, b):
+        calls.append(len(a) - 1)
+        return exact(a, b)
+
+    monkeypatch.setattr(polynomials, "_gcd", counted)
+    f = gf_des("A3 x A3")  # (1 + 11z + 11z^2 + z^3)^2: every root twice
+    bag = negated_real_roots(f)
+    assert calls, "a square gcd was settled modulo p"
+    assert (bag.values, bag.residual_bound) == oracles.negated_roots(list(f.coefficients))
+    assert bag.values == descent_root_bag("A3 x A3").values
+    calls.clear()
+    negated_real_roots(gf_des("A12"))  # square-free: one gcd modulo p
+    assert not calls
 
 
 def test_descent_root_bag_concatenates_factors():

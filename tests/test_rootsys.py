@@ -230,6 +230,19 @@ def test_two_sided_tallies_match_windows():
         assert list(got) == want
 
 
+def test_two_sided_tallies_in_small_row_blocks(monkeypatch):
+    # levels of several blocks each, with a short last block
+    import coxstat.rootsys as rootsys
+
+    monkeypatch.setattr(rootsys, "_TALLY_BLOCK", 7)
+    for family, length, lab in [("B", 3, irreducible("B", 3)), ("D", 4, irreducible("D", 4))]:
+        want = oracles.tally(
+            family, length,
+            lambda w: oracles.des_of(w, family) + oracles.ides_of(w, family),
+        )
+        assert list(statistics_tally(build_root_system(lab), "des_plus_ides")) == want
+
+
 def test_walk_inv_tallies_match_degree_product():
     # every level size, not just the total, against the product of [d]_q
     for text in ["A7", "B6", "D6", "H4"]:
