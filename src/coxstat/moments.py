@@ -31,7 +31,6 @@ __all__ = [
     "DistributionSummary",
     "mahonian_moments",
     "mahonian_cumulants",
-    "mahonian_summary",
     "eulerian_moments",
     "double_eulerian_moments",
     "moments_from_polynomial",
@@ -94,12 +93,24 @@ def mahonian_summary(d, k_max=6):
     for j in range(2, k_max + 1):
         mu.append(sum(comb(j - 1, i - 1) * cumulants[i] * mu[j - i] for i in range(2, j + 1)))
     central = {j: mu[j] for j in range(2, k_max + 1)}
-    normalized = {}
-    if variance > 0:
-        for j in range(3, k_max + 1):
-            ratio = float(cumulants[j] / variance ** (j // 2))
-            normalized[j] = ratio if j % 2 == 0 else ratio / sqrt(float(variance))
-    return DistributionSummary(mean, variance, central, cumulants, normalized)
+    return DistributionSummary(mean, variance, central, cumulants,
+                               _normalized(cumulants, variance))
+
+
+def _normalized(cumulants, variance):
+    """kappa_j / var^(j/2) for j >= 3 as floats, empty when var = 0: even
+    j as one correctly rounded ratio, odd j as kappa_j / var^((j-1)/2)
+    rounded, then divided by the rounded sqrt(var)."""
+    if variance <= 0:
+        return {}
+    vn, vd = variance.as_integer_ratio()
+    out = {}
+    for j, kappa in cumulants.items():
+        if j >= 3:
+            kn, kd = kappa.as_integer_ratio()
+            ratio = kn * vd ** (j // 2) / (kd * vn ** (j // 2))
+            out[j] = ratio if j % 2 == 0 else ratio / sqrt(vn / vd)
+    return out
 
 
 def second_moment_inv_type_b(n):
@@ -185,19 +196,13 @@ def moments_from_polynomial(f, k_max=6):
         kappas[j] = scaled[j] - sum(comb(j - 1, i - 1) * kappas[i] * scaled[j - i]
                                     for i in range(2, j - 1))
     central = {j: Fraction(v, tpow[j]) for j, v in scaled.items()}
-    m2 = scaled[2]
-    normalized = {}
-    if m2 > 0:
-        # kappa_j / var^(j/2), odd j as kappa_j / var^((j-1)/2) / sqrt(var)
-        for j in range(3, k_max + 1):
-            ratio = kappas[j] / (m2 ** (j // 2) * tpow[j % 2])
-            normalized[j] = ratio if j % 2 == 0 else ratio / sqrt(m2 / tpow[2])
+    cumulants = {j: Fraction(v, tpow[j]) for j, v in kappas.items()}
     return DistributionSummary(
         mean=Fraction(sums[1] + centre * total, total),
         variance=central[2],
         central_moments=central,
-        cumulants={j: Fraction(v, tpow[j]) for j, v in kappas.items()},
-        normalized_cumulants=normalized,
+        cumulants=cumulants,
+        normalized_cumulants=_normalized(cumulants, central[2]),
     )
 
 

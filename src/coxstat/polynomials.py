@@ -313,18 +313,19 @@ def _gcd(a, b):
     return _primitive(a)
 
 
-_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1)
+_PRIME = 2 ** 61 - 1
 
 
 def _coprime_mod_p(a, b):
-    """True when gcd(a, b) is constant modulo a prime p not dividing lead(a).
+    """True when gcd(a, b) is constant modulo the prime p = 2**61 - 1 and
+    p does not divide lead(a); False sends the pair to the exact gcd.
 
     A non-constant rational gcd g of a and b divides a in Z[x], so lead(g)
     divides lead(a), and g mod p keeps its degree and divides both images.
     A True answer therefore means the rational gcd is constant too.
     """
-    p = next((q for q in _PRIMES if a[-1] % q), None)
-    if p is None:
+    p = _PRIME
+    if a[-1] % p == 0:
         return False
     a = [c % p for c in a]
     b = [c % p for c in b]
@@ -391,12 +392,17 @@ def _float_newton(fc, a, b, sa):
 def _estimate(g, e, lo, shift, sa):
     """Float guess of the root of g in 2**e (lo, lo + 1) / 2**shift, found
     on the coefficients of g as floats (at most 2**1000, so the
-    conversion cannot overflow) or, above 1, on g reversed at 1 / x."""
+    conversion cannot overflow) or, above 1, on g reversed at 1 / x.
+    The interval ends are below 2**e <= 2**1000 and are rounded by
+    integer true division, which takes ends of any length."""
     if e > 1000:
         return None
     drop = max(0, max(abs(c).bit_length() for c in g) - 1000)
     fc = [float(c >> drop) for c in g]
-    a, b = ldexp(lo, e - shift), ldexp(lo + 1, e - shift)
+    if shift >= e:
+        a, b = lo / (1 << (shift - e)), (lo + 1) / (1 << (shift - e))
+    else:
+        a, b = float(lo << (e - shift)), float((lo + 1) << (e - shift))
     if b <= 2:
         return _float_newton(fc[::-1], a, b, sa)
     return 1 / _float_newton(fc, 1 / b, 1 / a if a else inf, -sa)

@@ -225,20 +225,17 @@ def _bfs_levels(rs):
         total += len(acts)
         yield length, acts
         pos = acts[:, :head] > 0
-        # the chunk list is a temporary: no chunk outlives the concatenation
-        acts = np.concatenate([_extend(acts, pos[:, guards[s]].all(axis=1), perms[s], s)
-                               for s in range(n)], axis=0)
+        # no chunk or row mask outlives the concatenation
+        chunks = []
+        for s in range(n):
+            sub = acts[pos[:, guards[s]].all(axis=1)].take(perms[s], axis=1)
+            sub[:, s] = -sub[:, s]
+            chunks.append(sub)
+        acts = np.concatenate(chunks, axis=0)
+        del chunks, sub
         length += 1
     if total != order:
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
-
-
-def _extend(acts, mask, perm, s):
-    """The rows of acts selected by mask, each extended by s: a gather by
-    s's permutation and a sign flip at s."""
-    sub = acts[mask].take(perm, axis=1)
-    sub[:, s] = -sub[:, s]
-    return sub
 
 
 def _sorted_levels(rs):

@@ -385,11 +385,12 @@ def _poly_quotient(num, den):
 
 
 def _taylor_shift(p):
-    """p(x + 1): n passes of suffix sums, each a running sum from the top."""
-    top = p[::-1]
-    for i in range(len(p) - 1, 0, -1):
-        top[:i + 1] = itertools.accumulate(top[:i + 1])
-    return top[::-1]
+    """p(x + 1) by repeated synthetic division by x - 1, one addition at a time."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
 
 
 def _bisect(coeffs, lo, shift):

@@ -389,10 +389,16 @@ def _linear_product(pairs):
 
 def test_roots_match_the_oracle_on_awkward_polynomials():
     # roots halfway between two floats (ties), dyadic roots, clusters,
-    # repeats and a wide spread take every branch of the float
-    # certification and of the bisection fallback
+    # repeats, a wide spread and roots 2**-1100 apart (isolated past
+    # depth 1024, so the interval ends have more bits than a float
+    # exponent spans) take every branch of the float certification and
+    # of the bisection fallback
     rng = random.Random(5)
+    far = 2 ** 1100
     cases = [
+        [(1, 3), (far + 3, 3 * far)],
+        [(3, 1), (3 * far + 1, far), (1, 1)],
+        [(1, 3), (far + 3, 3 * far), (2 * far + 3, 6 * far)],
         [(2 ** 53 + 1, 2 ** 53), (1, 1)],
         [(3 * 2 ** 52 + 1, 2 ** 52), (2 ** 53 + 1, 2 ** 53), (5, 1)],
         [(10 ** 12, 10 ** 12), (10 ** 12 + 1, 10 ** 12), (10 ** 12 + 2, 10 ** 12)],
