@@ -796,26 +796,28 @@ class LindebergReport:
 
 def triangular_array_diagnostics(d, statistic, epsilon):
     """Lindeberg sum and worst summand share for the independent-summand
-    decomposition of inv (uniforms over the degrees, exact rationals) or
-    des (Bernoulli success rates from the descent roots, floats)."""
+    decomposition of inv (uniforms over the degrees, exact rationals:
+    the cut is an integer test per value, and each degree adds one
+    Fraction) or des (Bernoulli success rates from the descent roots,
+    floats)."""
     d = as_descriptor(d)
     if statistic == "inv":
         degs = degrees(d)
         if not degs:
             raise ValueError("trivial group has no summands")
-        eps = Fraction(epsilon)
         variances = tuple(Fraction(v * v - 1, 12) for v in degs)
-        total = sum(variances)
+        total = Fraction(sum(v * v - 1 for v in degs), 12)
         if total == 0:
             raise ValueError("zero variance; no normalization possible")
-        cut = eps * eps * total  # threshold on (k - mu)^2 vs (eps s)^2
+        # (k - mu)^2 >= (eps s)^2 = num / den in integers: with
+        # x = 2k - (v - 1) = 2 (k - mu), x^2 den >= 4 num
+        num, den = (Fraction(epsilon) ** 2 * total).as_integer_ratio()
+        cut = 4 * num
         lind = Fraction(0)
         for v in degs:
-            mu = Fraction(v - 1, 2)
-            for k in range(v):
-                c = (k - mu) ** 2
-                if c >= cut:
-                    lind += Fraction(c, v)
+            squares = sum(x * x for x in range(1 - v, v, 2) if x * x * den >= cut)
+            if squares:
+                lind += Fraction(squares, 4 * v)
         return LindebergReport(
             statistic="inv", epsilon=float(epsilon),
             summand_variances=variances, total_variance=total,

@@ -8,8 +8,9 @@ per irreducible factor from the factor's rank, Coxeter number and
 largest edge label; the two-sided statistic des + ides adds a 1/h
 correction per factor.  moments_from_polynomial recovers all of it from
 any exact histogram, in integers over powers of the total until one
-Fraction per returned value, and is the cross-check path for the
-closed forms.
+Fraction per returned value, with power sums over the coefficients
+folded about the centre (half the length per power), and is the
+cross-check path for the closed forms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from operator import mul
+from operator import add, mul, sub
 
 from .groups import (
     as_descriptor,
@@ -164,9 +165,12 @@ def moments_from_polynomial(f, k_max=6):
     """Exact summary of the distribution proportional to the coefficients.
 
     Integers until the end: power sums about the centre c of the support
-    come from running products, and with T the total, T^j times the j-th
-    central moment and T^j times the j-th cumulant are integers; each
-    returned rational is one Fraction of such a pair.
+    come from running products over the coefficients folded about c
+    (distance d weighs c_(c+d) + c_(c-d) in even powers and
+    c_(c+d) - c_(c-d) in odd ones, so each pass is half as long), and
+    with T the total, T^j times the j-th central moment and T^j times
+    the j-th cumulant are integers; each returned rational is one
+    Fraction of such a pair.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -175,12 +179,22 @@ def moments_from_polynomial(f, k_max=6):
     if total == 0:
         raise ValueError("zero polynomial has no distribution")
     centre = len(coeffs) // 2
-    offsets = range(-centre, len(coeffs) - centre)
-    sums = [total]  # sums[j] = sum_k c_k (k - centre)^j
-    terms = coeffs
-    for _ in range(k_max):
-        terms = list(map(mul, terms, offsets))
-        sums.append(sum(terms))
+    # c_(centre+d) and c_(centre-d) for d = 1..centre; an even length
+    # has one entry fewer above the centre than below it
+    above = coeffs[centre + 1:] + (0,) * (2 * centre + 1 - len(coeffs))
+    below = coeffs[:centre][::-1]
+    dist = range(1, centre + 1)
+    squares = [d * d for d in dist]
+    even = list(map(add, above, below))
+    odd = list(map(mul, map(sub, above, below), dist))
+    sums = [total, sum(odd)]  # sums[j] = sum_k c_k (k - centre)^j
+    for j in range(2, k_max + 1):
+        if j % 2:
+            odd = list(map(mul, odd, squares))
+            sums.append(sum(odd))
+        else:
+            even = list(map(mul, even, squares))
+            sums.append(sum(even))
     shift = sums[1]  # T (mean - centre)
     tpow, powers = [1], [1]  # T^j and (-shift)^j
     for _ in range(k_max):

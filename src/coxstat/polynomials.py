@@ -1,15 +1,18 @@
 """Exact generating functions and their structure.
 
 gf_inv is the product of z-integers over the degrees, so it never needs
-enumeration; each factor [d]_z is applied as a running window sum of
-the coefficients, linear in their number, and only up to half the
-final degree, since the product is palindromic.  gf_des builds the type
-A and B rows from power sums (half of sum_k (ck + 1)^e t^k, repeatedly
-differenced, then mirrored) and type D by the B-to-D relation (the
-gf-des suite of ``coxstat verify`` checks them against window
-enumeration on small ranks and against the closed-form moments at rank
-about 100); exceptional factors fall back to the reflection-walk tally,
-read through the cache in tallies.
+enumeration; each factor [d]_z is applied, smallest degree first, as a
+running window sum of the coefficients, linear in their number, over
+the first half of each partial product only, since every partial
+product is palindromic.  gf_des builds the type A and B rows from power
+sums (half of sum_k (ck + 1)^e t^k, repeatedly differenced, then
+mirrored) and the type D row the same way from one sequence,
+(2k + 1)^n - n 2^(n-1) sum_(j<=k) j^(n-1), which is Brenti's B-to-D
+relation through Worpitzky's identity (the gf-des suite of ``coxstat
+verify`` checks the rows against window enumeration on small ranks and
+against the closed-form moments at rank about 100); exceptional factors
+fall back to the reflection-walk tally, read through the cache in
+tallies.
 
 Root extraction for descent polynomials decides everything in integers.
 Square-freeness comes from a gcd modulo one prime, with the exact gcd
@@ -57,12 +60,13 @@ class ExactPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        if any(c < 0 for c in coeffs):
+        coeffs = tuple(map(int, self.coefficients))
+        if coeffs and min(coeffs) < 0:
             raise ValueError("coefficients must be nonnegative")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coefficients", coeffs[:end])
 
     @property
     def degree(self):
@@ -106,7 +110,9 @@ ONE = ExactPolynomial((1,))
 
 
 def product(polys):
-    out = ONE
+    """The product of the polynomials; one factor comes back as it is."""
+    polys = iter(polys)
+    out = next(polys, ONE)
     for p in polys:
         out = out * p
     return out
@@ -124,25 +130,40 @@ def gf_inv(d):
 
     Multiplying by [v]_z replaces each coefficient with the sum of the
     last v coefficients, so each degree costs one running window sum,
-    O(len) integer additions, rather than a schoolbook product.  The
-    product is palindromic and coefficient k only reads coefficients up
-    to k, so the sums stop at half the final degree and are mirrored.
+    O(len) integer additions, rather than a schoolbook product.  Every
+    partial product is palindromic and coefficient k of the next one
+    only reads coefficients up to k, so only the first half of each
+    partial product is kept, mirrored as far as the next half needs,
+    and the degrees are applied smallest first, which keeps every
+    partial product as short as it can be.
     """
     d = as_descriptor(d)
-    degs = [v for f in d.factors for v in irreducible_degrees(f)]
-    top = sum(v - 1 for v in degs)
-    coeffs = [1]
-    for v in degs:
-        size = min(len(coeffs) + v - 1, top // 2 + 1)
-        sums = [0, *accumulate(coeffs + [0] * (size - len(coeffs)))]
+    half, deg = [1], 0  # coefficients 0..deg // 2 of the partial product
+    for v in sorted(v for f in d.factors for v in irreducible_degrees(f)):
+        new = deg + v - 1
+        size = new // 2 + 1
+        # coefficients deg // 2 + 1..top of the partial product are
+        # coefficients deg - top..(deg + 1) // 2 - 1 mirrored
+        top = min(deg, size - 1)
+        mirrored = reversed(half[deg - top:(deg + 1) // 2])
+        sums = list(accumulate(chain(half, mirrored, repeat(0, size - 1 - top)), initial=0))
         # coefficient k of the product is sums[k + 1] - sums[k + 1 - v]
-        coeffs = list(map(sub, sums[1:], chain(repeat(0, v - 1), sums)))
-    # the middle entry once when top is even
-    return ExactPolynomial(tuple(coeffs + coeffs[::-1][1 - top % 2:]))
+        half = list(map(sub, sums[1:], chain(repeat(0, v - 1), sums)))
+        deg = new
+    # the middle entry once when deg is even
+    return ExactPolynomial(tuple(half + half[::-1][1 - deg % 2:]))
 
 
 # ---------------------------------------------------------------------------
 # descent generating functions
+
+def _difference_and_mirror(half, passes, n):
+    """The palindromic row of degree n whose first half is `half` after
+    `passes` running differences, each a multiplication by 1 - t."""
+    for _ in range(passes):
+        half = [half[0], *map(sub, half[1:], half)]
+    return half + half[::-1][1 - n % 2:]  # the middle entry once when n is even
+
 
 def _eulerian_row(c, n):
     """Descent tally of A_n (c = 1) or B_n (c = 2) from power sums.
@@ -154,21 +175,28 @@ def _eulerian_row(c, n):
     of the power sums is differenced, then mirrored.
     """
     e = n + 1 if c == 1 else n
-    half = [(c * k + 1) ** e for k in range(n // 2 + 1)]
-    for _ in range(e + 1):
-        half = [half[0], *map(sub, half[1:], half)]
-    return half + half[::-1][1 - n % 2:]  # the middle entry once when n is even
+    return _difference_and_mirror([(c * k + 1) ** e for k in range(n // 2 + 1)], e + 1, n)
 
 
 def _descent_row_d(n):
-    # subtract the B-only contribution: n * 2^(n-1) * z * (tally of S_{n-1})
-    out = _eulerian_row(2, n)
-    scale = n * (1 << (n - 1))
-    for k, c in enumerate(_eulerian_row(1, n - 2)):
-        out[k + 1] -= scale * c
-    if any(c < 0 for c in out):
+    """Descent tally of D_n from one sequence, differenced n + 1 times.
+
+    Brenti (Europ. J. Combin. 15, 1994) gives D_n(t) = B_n(t) - n 2^(n-1)
+    t A(t), with A(t) the descent row of S_(n-1).  By Worpitzky
+    B_n(t) / (1 - t)^(n+1) = sum_k (2k + 1)^n t^k and
+    A(t) / (1 - t)^n = sum_k (k + 1)^(n-1) t^k, so
+    t A(t) / (1 - t)^(n+1) = sum_k (sum_(j<=k) j^(n-1)) t^k, and
+    D_n(t) / (1 - t)^(n+1) = sum_k d_k t^k with
+    d_k = (2k + 1)^n - n 2^(n-1) sum_(j<=k) j^(n-1).
+    The row is palindromic, so d_0..d_(n//2) are differenced and mirrored.
+    """
+    scale = n << (n - 1)
+    prefix = accumulate(j ** (n - 1) for j in range(n // 2 + 1))
+    row = _difference_and_mirror(
+        [(2 * k + 1) ** n - scale * s for k, s in enumerate(prefix)], n + 1, n)
+    if min(row) < 0:
         raise ArithmeticError(f"negative coefficient in D{n} descent relation")
-    return out
+    return row
 
 
 def _gf_des_irreducible(label):

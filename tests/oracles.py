@@ -9,8 +9,10 @@ Slow is fine; these exist so the fast paths have something honest to match.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +318,24 @@ def inv_polynomial(degrees):
     return coeffs
 
 
+def lindeberg_inv(degrees, epsilon):
+    """(summand variances, total variance, max ratio, Lindeberg sum) of
+    the uniforms on {0, ..., v - 1} over the degrees, one Fraction per
+    (degree, k) pair: (k - mu)^2 / v counts where (k - mu)^2 >= (eps s)^2."""
+    eps = Fraction(epsilon)
+    variances = tuple(Fraction(v * v - 1, 12) for v in degrees)
+    total = sum(variances)
+    cut = eps * eps * total
+    lind = Fraction(0)
+    for v in degrees:
+        mu = Fraction(v - 1, 2)
+        for k in range(v):
+            c = (k - mu) ** 2
+            if c >= cut:
+                lind += Fraction(c, v)
+    return variances, total, max(variances) / total, lind / total
+
+
 def summary_of_histogram(coeffs, k_max):
     """(mean, central moments, cumulants, normalized cumulants) of the
     distribution proportional to coeffs, in Fractions from raw moments."""
@@ -452,6 +472,31 @@ def negated_roots(coeffs):
     return tuple(sorted(roots, reverse=True)), residual
 
 
+# Oracle root bags of A41..A60, where the live oracle route takes about 20 s
+# of a tier-1 run; `python tests/oracles.py` regenerates ROOT_BAGS_PATH from
+# the Eulerian recurrence rows and negated_roots.
+ROOT_BAGS_PATH = Path(__file__).with_name("data") / "root_bags_a41_a60.json"
+ROOT_BAG_RANKS = range(41, 61)
+
+
+def write_root_bags():
+    """Write {"A<n>": {"values": [float.hex, ...], "residual": float.hex}}
+    for the ROOT_BAG_RANKS, from negated_roots of the recurrence rows."""
+    rows = eulerian_rows(1, max(ROOT_BAG_RANKS))
+    bags = {}
+    for n in ROOT_BAG_RANKS:
+        values, residual = negated_roots(rows[n])
+        bags[f"A{n}"] = {"values": [q.hex() for q in values], "residual": residual.hex()}
+    ROOT_BAGS_PATH.parent.mkdir(exist_ok=True)
+    ROOT_BAGS_PATH.write_text(json.dumps(bags, indent=1) + "\n")
+
+
+def read_root_bags():
+    """{group text: (values, residual)} as negated_roots returns them."""
+    return {text: (tuple(map(float.fromhex, bag["values"])), float.fromhex(bag["residual"]))
+            for text, bag in json.loads(ROOT_BAGS_PATH.read_text()).items()}
+
+
 def classical_degrees(family, n):
     """Degrees of A_n, B_n or D_n, written out."""
     if family == "A":
@@ -489,3 +534,7 @@ TALLY_DES_B2 = [1, 6, 1]
 # worked single elements
 WORKED_A = ((2, 5, 1, 3, 6, 4), {"inv": 5, "des": 2, "ides": 2})
 WORKED_B = (((-1, -2), 4), ((-2, -1), 3))   # (window, type-B inv)
+
+
+if __name__ == "__main__":
+    write_root_bags()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from coxstat.groups import degrees, descriptor, irreducible, m_max, rank
+from coxstat.groups import degrees, descriptor, irreducible, m_max, parse_descriptor, rank
 from coxstat.limits import (
     SequenceSpec,
     clt_check_des,
@@ -340,6 +340,20 @@ class TestLindeberg:
         r5 = triangular_array_diagnostics(
             descriptor(("A", 1)) ** 5, "inv", Fraction(1, 2))
         assert r5.max_ratio == Fraction(1, 5)
+
+    @pytest.mark.parametrize("text", ["A9", "A3 x I2(7)", "H3", "B25 x D29", "A1", "A1^4"])
+    def test_inv_matches_the_fraction_loop(self, text):
+        # the integer test x^2 den >= 4 num, one Fraction per degree,
+        # against one Fraction per (degree, k) pair; A1 at eps = 1 and
+        # A1^4 at eps = 1/2 put a deviation exactly on the cut
+        d = parse_descriptor(text)
+        for eps in (0, Fraction(1, 10), Fraction(1, 2), 1, Fraction(1, 10 ** 9), 0.25):
+            rep = triangular_array_diagnostics(d, "inv", eps)
+            want = oracles.lindeberg_inv(degrees(d), eps)
+            got = (rep.summand_variances, rep.total_variance, rep.max_ratio,
+                   rep.lindeberg_sum)
+            assert got == want, (text, eps)
+            assert rep.epsilon == float(eps)
 
     def test_des_path_uses_descent_roots(self):
         rep = triangular_array_diagnostics(irreducible("A", 20), "des", 1.0)

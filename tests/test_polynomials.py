@@ -57,6 +57,25 @@ def test_exact_polynomial_normalization_and_eval():
         P(1, -1)
 
 
+def test_exact_polynomial_validation_errors():
+    assert P(0, 0, 0).is_zero and P().is_zero
+    assert P("3", 2, 0).coefficients == (3, 2)
+    assert P(0, 5, 0, 0).coefficients == (0, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        P(0, 0, -1, 0)
+    with pytest.raises(ValueError):
+        P(1, "x")
+    with pytest.raises(TypeError):
+        P(1, None)
+
+
+def test_product_of_one_factor_is_that_factor():
+    f = P(1, 4, 1)
+    assert product([f]) is f
+    assert product([]) == P(1)
+    assert product(iter([f, P(1, 1)])).coefficients == (1, 5, 5, 1)
+
+
 def test_multiplication_and_json():
     f = P(1, 1) * P(1, 1)
     assert f.coefficients == (1, 2, 1)
@@ -186,8 +205,9 @@ def test_eulerian_rows_match_the_recurrence(c):
 
 
 def test_gf_des_type_d_matches_the_b_minus_a_relation():
-    want = oracles.descent_rows_d(120)
-    for n in range(4, 121):
+    # every rank to D120 and spot ranks of the benchmark's D240-D300 band
+    want = oracles.descent_rows_d(300)
+    for n in [*range(4, 121), 240, 253, 266, 279, 291, 300]:
         assert list(gf_des(f"D{n}").coefficients) == want[n], n
 
 
@@ -365,19 +385,47 @@ _ROOT_GROUPS = {
 }
 
 
+# the oracle's bags of these groups are committed (oracles.write_root_bags)
+_COMMITTED_BAGS = [f"A{n}" for n in oracles.ROOT_BAG_RANKS]
+
+
 @pytest.mark.parametrize("family", _ROOT_GROUPS)
 def test_descent_root_bag_matches_the_bisection_oracle(family):
     # every value and the residual bound, bit for bit, against exact gcds,
     # bisection of each isolating interval and a Fraction residual
     for text in _ROOT_GROUPS[family]:
+        if text in _COMMITTED_BAGS:
+            continue
         bag = descent_root_bag(text)
         want = oracles.negated_roots(list(gf_des(text).coefficients))
         assert (bag.values, bag.residual_bound) == want, text
 
 
-@pytest.mark.parametrize("family", _ROOT_GROUPS)
+def test_descent_root_bag_matches_the_committed_oracle_bags():
+    # the same comparison where the oracle is slowest, against its output
+    # written as float.hex (regenerate with `python tests/oracles.py`)
+    bags = oracles.read_root_bags()
+    assert sorted(bags) == sorted(_COMMITTED_BAGS)
+    for text, want in bags.items():
+        bag = descent_root_bag(text)
+        assert (bag.values, bag.residual_bound) == want, text
+
+
+_INV_GROUPS = {
+    **_ROOT_GROUPS,
+    # odd and even total degree, repeated degrees, factors in any order, and
+    # one product of 300, 800, 1500 and 2500 positive roots as the benchmark
+    # draws them
+    "products": ["A1", "A2", "B2", "A1^4 x B4 x B4", "A1^5 x B4 x B4",
+                 "A1^3 x A2^3 x I2(5)^2", "B3 x B3 x D4 x D4 x H3", "E8 x E8 x A1",
+                 "I2(4) x I2(7)", "A20 x B8 x I2(26)", "B20 x D16 x I2(160)",
+                 "A40 x D25 x I2(80)", "A60 x B25 x I2(45)"],
+}
+
+
+@pytest.mark.parametrize("family", _INV_GROUPS)
 def test_gf_inv_half_sums_match_the_full_window_sums(family):
-    for text in _ROOT_GROUPS[family]:
+    for text in _INV_GROUPS[family]:
         d = parse_descriptor(text)
         assert list(gf_inv(d).coefficients) == oracles.inv_polynomial(degrees(d)), text
 
