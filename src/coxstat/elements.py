@@ -11,12 +11,22 @@ A_{n-1}, while B and D windows of length n realize rank n.
 Inversions count the pairs i < j with w(i) > w(j), plus for B and D the
 pairs with -w(i) > w(j), plus for B alone the negative entries.  Descents
 are read off the window extended on the left by w(0) = 0 (types A and B;
-for A this leaves only positions 1..n-1) or w(0) = -w(2) (type D).
+for A this leaves only positions 1..n-1) or w(0) = -w(2) (type D);
+des_count compares neighbours in one map over the window instead of
+listing the positions.
+
+iter_windows fixes the enumeration order that ``coxstat enumerate``
+prints.  window_tally, behind the brute-force histograms of ``coxstat
+verify``, visits the same windows in another order: for each set of
+negated values, the permutations of the signed values, counted by one
+Counter.update per set.  A histogram does not depend on the order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import gt
 
 __all__ = [
     "inverse",
@@ -72,7 +82,13 @@ def descent_positions(w, family):
 
 
 def des_count(w, family):
-    return len(descent_positions(w, family))
+    """len(descent_positions(w, family)), without building the positions."""
+    count = sum(map(gt, w, w[1:]))
+    if family == "B":
+        return count + (w[0] < 0)
+    if family == "D":
+        return count + (-w[1] > w[0])
+    return count
 
 
 def ides_count(w, family):
@@ -141,12 +157,22 @@ def iter_windows(family, length):
 
 def window_tally(family, length, statfn):
     """Histogram of statfn(w, family) over every window: counts for
-    0..max value."""
-    counts = {}
-    for w in iter_windows(family, length):
-        k = statfn(w, family)
-        counts[k] = counts.get(k, 0) + 1
-    return tuple(counts.get(k, 0) for k in range(max(counts) + 1))
+    0..max value.
+
+    The windows come grouped by their set of negated values (none for A,
+    an even number for D), each group as the permutations of its signed
+    values: the windows of iter_windows in another order, which the
+    histogram does not see.
+    """
+    base = range(1, length + 1)
+    sizes = range(0, 1 if family == "A" else length + 1, 2 if family == "D" else 1)
+    counts = Counter()
+    for k in sizes:
+        for negated in itertools.combinations(base, k):
+            signed = [-v if v in negated else v for v in base]
+            counts.update(map(statfn, itertools.permutations(signed),
+                              itertools.repeat(family)))
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 def to_one_line(w):

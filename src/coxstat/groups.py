@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "IrreducibleLabel",
@@ -47,16 +47,13 @@ _F_DEGREES = {4: (2, 6, 8, 12)}
 _H_DEGREES = {3: (2, 6, 10), 4: (2, 12, 20, 30)}
 
 
-@dataclass(frozen=True, order=True)
-class IrreducibleLabel:
+class IrreducibleLabel(namedtuple("IrreducibleLabel", "family rank m")):
     """One irreducible factor. ``m`` is the edge label, I2 only."""
 
-    family: str
-    rank: int
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        f, n, m = self.family, self.rank, self.m
+    def __new__(cls, family, rank, m=None):
+        f, n = family, rank
         if f not in _FAMILIES:
             raise ValueError(f"unknown family {f!r}")
         if f != "I2" and m is not None:
@@ -94,6 +91,7 @@ class IrreducibleLabel:
                 raise ValueError(
                     f"I2({m}) is not a valid label; m must be >= 3 (I2(1) degenerates to A1)"
                 )
+        return tuple.__new__(cls, (f, n, m))
 
     def __str__(self):
         if self.family == "I2":
@@ -110,15 +108,13 @@ def irreducible(family, rank, m=None):
     return IrreducibleLabel(family, rank, m)
 
 
-@dataclass(frozen=True)
-class CoxeterDescriptor:
+class CoxeterDescriptor(namedtuple("CoxeterDescriptor", "factors")):
     """A finite Coxeter group as a sorted multiset of irreducible factors."""
 
-    factors: tuple[IrreducibleLabel, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.factors, key=lambda f: f.sort_key))
-        object.__setattr__(self, "factors", ordered)
+    def __new__(cls, factors=()):
+        return tuple.__new__(cls, (tuple(sorted(factors, key=lambda f: f.sort_key)),))
 
     def __mul__(self, other):
         if not isinstance(other, CoxeterDescriptor):

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul, sub
 from pathlib import Path
@@ -62,24 +62,24 @@ FINDSTAT_URL = "https://www.findstat.org/StatisticsDatabase/{id}/ValuesExport/"
 # ---------------------------------------------------------------------------
 # datasets
 
-@dataclass(frozen=True)
-class StatisticDataset:
+class StatisticDataset(namedtuple("StatisticDataset", "name histograms values group")):
     """Per-size statistic data over symmetric groups.
 
     histograms[n][k] counts elements of S_n with statistic value k;
     values keeps the raw per-element lists when the source had them.
     group is the declared family symbol ("S") or None when undeclared.
+    Omitted dicts start empty, a fresh one per dataset.
     """
 
-    name: str
-    histograms: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    values: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    group: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for n, hist in self.histograms.items():
+    def __new__(cls, name, histograms=None, values=None, group=None):
+        histograms = {} if histograms is None else histograms
+        values = {} if values is None else values
+        for n, hist in histograms.items():
             if any(c < 0 for c in hist):
                 raise ValueError(f"negative histogram entry at n = {n}")
+        return tuple.__new__(cls, (name, histograms, values, group))
 
     @property
     def sizes(self):
@@ -215,15 +215,16 @@ def builtin_dataset(statistic, sizes, keyed_by="size"):
 # ---------------------------------------------------------------------------
 # summaries
 
-@dataclass(frozen=True)
-class SummaryRow:
-    n: int
-    count: int
-    mean: Fraction
-    variance: Fraction
-    normalized_cumulants: dict[int, float]
-    formatted: tuple[str, ...]
-    degenerate: bool
+class SummaryRow(namedtuple("SummaryRow", [
+    "n",
+    "count",
+    "mean",                     # Fraction
+    "variance",                 # Fraction
+    "normalized_cumulants",     # {order: float}
+    "formatted",                # format_sig3 of each, orders 3..k_max
+    "degenerate",
+])):
+    __slots__ = ()
 
 
 def format_sig3(x):
@@ -277,14 +278,10 @@ def summarize(ds, k_max=8):
 # ---------------------------------------------------------------------------
 # formula guessing
 
-@dataclass(frozen=True)
-class RationalFormula:
+class RationalFormula(namedtuple("RationalFormula", "numerator a b c")):
     """V(n) = f(n) / (a n + b)^c with f rational-coefficient, c >= 0."""
 
-    numerator: tuple[Fraction, ...]
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     def evaluate(self, n):
         n = Fraction(n)

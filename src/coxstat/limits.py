@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .groups import (
@@ -226,12 +226,13 @@ def _match_exponential_in_i(node):
 # ---------------------------------------------------------------------------
 # sequence specs
 
-@dataclass(frozen=True)
-class _Term:
-    family: str                 # "A".."I2"
-    param: tuple                # expression AST for rank / edge label
-    power: tuple | None         # expression AST or None
-    prod_range: tuple | None    # (lo AST, hi AST) when a prod(...) term
+class _Term(namedtuple("_Term", [
+    "family",       # "A".."I2"
+    "param",        # expression AST for rank / edge label
+    "power",        # expression AST or None
+    "prod_range",   # (lo AST, hi AST) when a prod(...) term, else None
+])):
+    __slots__ = ()
 
 
 def _term_labels(term, env, n):
@@ -257,10 +258,11 @@ def _term_labels(term, env, n):
     return value, labels, count
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    source_text: str
-    terms: tuple[_Term, ...] = field(repr=False)
+class SequenceSpec(namedtuple("SequenceSpec", "source_text terms")):
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"SequenceSpec(source_text={self.source_text!r})"
 
     def descriptor(self, n):
         """The group at index n, with I2(1) and I2(2) normalized away."""
@@ -383,12 +385,13 @@ def _parse_factor(p):
 # ---------------------------------------------------------------------------
 # trend verdicts
 
-@dataclass(frozen=True)
-class TrendReport:
-    samples: tuple[tuple[int, float], ...]
-    fitted_exponent: float
-    verdict: str
-    rationale: str
+class TrendReport(namedtuple("TrendReport", [
+    "samples",          # ((n, value), ...)
+    "fitted_exponent",
+    "verdict",
+    "rationale",
+])):
+    __slots__ = ()
 
 
 def _fit_exponent(samples):
@@ -449,30 +452,32 @@ def _override(report, verdict, why):
 # ---------------------------------------------------------------------------
 # CLT condition checks
 
-@dataclass(frozen=True)
-class MahonianCltReport:
-    spec_text: str
-    ratio: TrendReport          # d_n / s_n
-    m_ratio: TrendReport        # m_n / s_n
-    clt_holds: bool | None
-    symbolic: str | None
-    rank_increasing: bool
-    per_n: tuple[tuple[int, int, int, Fraction], ...]  # (n, rank, d_n, variance)
+class MahonianCltReport(namedtuple("MahonianCltReport", [
+    "spec_text",
+    "ratio",            # TrendReport of d_n / s_n
+    "m_ratio",          # TrendReport of m_n / s_n
+    "clt_holds",        # True, False or None
+    "symbolic",         # str or None
+    "rank_increasing",
+    "per_n",            # ((n, rank, d_n, variance), ...)
+])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EulerianCltReport:
-    spec_text: str
-    trend: TrendReport          # s_n itself
-    clt_holds: bool | None
-    symbolic: str | None
-    cond_rank_to_infinity: bool
-    cond_rank_unbounded: bool
-    cond_dihedral_divergence: bool
-    partial_sums: tuple[tuple[int, float], ...]
-    nondihedral_ranks: tuple[tuple[int, int], ...]
-    rank_increasing: bool
-    per_n: tuple[tuple[int, int, Fraction], ...]       # (n, rank, variance)
+class EulerianCltReport(namedtuple("EulerianCltReport", [
+    "spec_text",
+    "trend",            # TrendReport of s_n itself
+    "clt_holds",        # True, False or None
+    "symbolic",         # str or None
+    "cond_rank_to_infinity",
+    "cond_rank_unbounded",
+    "cond_dihedral_divergence",
+    "partial_sums",         # ((n, float), ...)
+    "nondihedral_ranks",    # ((n, int), ...)
+    "rank_increasing",
+    "per_n",            # ((n, rank, variance), ...)
+])):
+    __slots__ = ()
 
 
 def _spec_of(spec):
@@ -784,14 +789,15 @@ def clt_check_des(spec, n_range):
 # ---------------------------------------------------------------------------
 # triangular-array diagnostics
 
-@dataclass(frozen=True)
-class LindebergReport:
-    statistic: str
-    epsilon: float
-    summand_variances: tuple
-    total_variance: Fraction | float
-    max_ratio: Fraction | float
-    lindeberg_sum: Fraction | float
+class LindebergReport(namedtuple("LindebergReport", [
+    "statistic",
+    "epsilon",              # float
+    "summand_variances",    # tuple
+    "total_variance",       # Fraction for inv, float for des
+    "max_ratio",            # likewise
+    "lindeberg_sum",        # likewise
+])):
+    __slots__ = ()
 
 
 def triangular_array_diagnostics(d, statistic, epsilon):
@@ -849,10 +855,8 @@ def triangular_array_diagnostics(d, statistic, epsilon):
 # ---------------------------------------------------------------------------
 # local limit distance
 
-@dataclass(frozen=True)
-class LltReport:
-    distance: float
-    degenerate: bool
+class LltReport(namedtuple("LltReport", "distance degenerate")):
+    __slots__ = ()
 
 
 def llt_sup_distance(f):

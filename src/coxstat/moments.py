@@ -15,7 +15,7 @@ cross-check path for the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, sqrt
 from operator import add, mul, sub
@@ -40,13 +40,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
-    mean: Fraction
-    variance: Fraction
-    central_moments: dict[int, Fraction]
-    cumulants: dict[int, Fraction]
-    normalized_cumulants: dict[int, float]
+class DistributionSummary(namedtuple("DistributionSummary", [
+    "mean",                     # Fraction
+    "variance",                 # Fraction
+    "central_moments",          # {order: Fraction}
+    "cumulants",                # {order: Fraction}
+    "normalized_cumulants",     # {order: float}
+])):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

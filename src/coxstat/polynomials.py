@@ -28,7 +28,7 @@ Horner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import gcd, inf, ldexp, nextafter
@@ -53,20 +53,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExactPolynomial:
+class ExactPolynomial(namedtuple("ExactPolynomial", "coefficients")):
     """Nonnegative integer coefficients, constant term first."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(map(int, self.coefficients))
+    def __new__(cls, coefficients):
+        coeffs = tuple(map(int, coefficients))
         if coeffs and min(coeffs) < 0:
             raise ValueError("coefficients must be nonnegative")
         end = len(coeffs)
         while end and not coeffs[end - 1]:
             end -= 1
-        object.__setattr__(self, "coefficients", coeffs[:end])
+        return tuple.__new__(cls, (coeffs[:end],))
 
     @property
     def degree(self):
@@ -232,12 +231,9 @@ def gf_des_plus_ides(d):
 # ---------------------------------------------------------------------------
 # structure
 
-@dataclass(frozen=True)
-class StructuralReport:
-    palindromic: bool
-    unimodal: bool
-    log_concave: bool
-    no_internal_zeros: bool
+class StructuralReport(namedtuple(
+        "StructuralReport", "palindromic unimodal log_concave no_internal_zeros")):
+    __slots__ = ()
 
 
 def structural_checks(f):
@@ -274,8 +270,7 @@ def structural_checks(f):
 _RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RootBag:
+class RootBag(namedtuple("RootBag", "values residual_bound")):
     """Negated real roots q_i, descending, with f(z) = lead * prod(z + q_i).
 
     residual_bound dominates |f(-q_i)| / f(q_i) for every i: the error of
@@ -283,8 +278,7 @@ class RootBag:
     computed in exact rational arithmetic at the rounded roots.
     """
 
-    values: tuple[float, ...]
-    residual_bound: float
+    __slots__ = ()
 
 
 def _sign_at(coeffs, num, shift):

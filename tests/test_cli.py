@@ -483,12 +483,18 @@ def test_enumerate_rejects_products(capsys):
 # ---------------------------------------------------------------------------
 # verify
 
+# the whole stdout of verify at seed 0 is pinned, so that no check can
+# be dropped or renamed unnoticed
+_VERIFY_DATA = Path(__file__).with_name("data")
+
+
 def test_verify_quick_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "quick")
     assert rc == 0
     lines = out.strip().splitlines()
     assert all(line.startswith("ok - ") for line in lines[:-1])
     assert "checks passed" in lines[-1]
+    assert out == (_VERIFY_DATA / "verify_quick_seed0.txt").read_text(encoding="utf-8")
 
 
 def test_verify_full_suite_passes(capsys):
@@ -496,6 +502,7 @@ def test_verify_full_suite_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
+    assert out == (_VERIFY_DATA / "verify_full_seed0.txt").read_text(encoding="utf-8")
 
 
 def test_verify_seed_does_not_change_outcome(capsys):
@@ -554,14 +561,17 @@ _COLD = (
 )
 
 _NOT_GF = ("coxstat.limits", "coxstat.interplab", "coxstat.elements")
+# the records are namedtuples: dataclasses (and with it inspect) loads
+# only with the walk, in rootsys and rings
+_RECORDS = ("dataclasses", "inspect")
 _UNUSED = {
-    "gf": _NOT_GF + ("coxstat.rings",),
-    "moments": _NOT_GF + ("coxstat.rings",),
-    "--help": _NOT_GF,
-    "llt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings"),
-    "clt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings"),
-    "interp": ("coxstat.limits",),
-    "enumerate": ("coxstat.limits", "coxstat.interplab"),
+    "gf": _NOT_GF + ("coxstat.rings",) + _RECORDS,
+    "moments": _NOT_GF + ("coxstat.rings",) + _RECORDS,
+    "--help": _NOT_GF + _RECORDS,
+    "llt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings") + _RECORDS,
+    "clt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings") + _RECORDS,
+    "interp": ("coxstat.limits",) + _RECORDS,
+    "enumerate": ("coxstat.limits", "coxstat.interplab") + _RECORDS,
 }
 
 
@@ -599,6 +609,21 @@ def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
                           env=_cli_env(filled_cache), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_modules_without_the_walk_do_not_import_dataclasses(tmp_path):
+    names = [f"coxstat.{m}" for m in sorted(coxstat._SUBMODULES)
+             if m not in ("rootsys", "rings")]
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module(name)\n"
+        "assert 'coxstat.rootsys' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(tmp_path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 _BARE = (

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import oracles
 from coxstat.elements import (
@@ -11,6 +12,7 @@ from coxstat.elements import (
     iter_windows,
     st_count,
     to_one_line,
+    window_tally,
 )
 from coxstat.groups import descriptor, group_order
 
@@ -138,6 +140,32 @@ def test_enumeration_order_and_count():
             elif family == "D":
                 assert negatives % 2 == 0, w
         assert set(windows) == set(oracles.iter_windows(family, length)), (family, length)
+
+
+_TALLY_CASES = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)] \
+    + [("D", 4), ("D", 5)]
+
+
+def _des_plus_ides(w, family):
+    return des_count(w, family) + ides_count(w, family)
+
+
+def test_window_tally_matches_a_tally_in_enumeration_order():
+    # window_tally visits the windows grouped by negated values, not in
+    # iter_windows order; the histogram must not see the difference
+    for family, length in _TALLY_CASES:
+        windows = list(iter_windows(family, length))
+        for statfn in (inv_count, des_count, ides_count, _des_plus_ides):
+            counts = Counter(statfn(w, family) for w in windows)
+            want = tuple(counts[k] for k in range(max(counts) + 1))
+            assert window_tally(family, length, statfn) == want, \
+                (family, length, statfn.__name__)
+
+
+def test_des_count_counts_the_descent_positions():
+    for family, length in _TALLY_CASES:
+        for w in iter_windows(family, length):
+            assert des_count(w, family) == len(descent_positions(w, family)), (family, w)
 
 
 def test_one_line_round_trip():
