@@ -11,8 +11,8 @@ Importing the package loads no submodule.  A re-exported name, or a
 submodule read as an attribute (coxstat.limits), imports its module on
 first use (PEP 562), so a process pays only for the modules it touches:
 coxstat.gf_des loads groups, tallies, moments and polynomials, but
-not rings, limits, interplab or elements.  numpy comes only with rootsys,
-the reflection walk, which is loaded when a tally must be walked, an
+not limits, interplab or elements.  numpy comes only with rootsys, the
+reflection walk, which is loaded when a tally must be walked, an
 exceptional group is enumerated, or a verify suite runs.
 """
 
@@ -40,8 +40,8 @@ _EXPORTS = {
 }
 
 _SUBMODULES = frozenset({"cli", "elements", "groups", "interplab", "limits",
-                         "moments", "polynomials", "rings", "rootsys",
-                         "tallies", "verify"})
+                         "moments", "polynomials", "rootsys", "tallies",
+                         "verify"})
 
 __all__ = [*_EXPORTS, "__version__"]
 

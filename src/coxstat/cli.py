@@ -11,7 +11,7 @@ through floating point cannot silently truncate anything.
 Each command imports only the modules it uses.  Every command loads
 groups, moments and polynomials (with tallies); on top of those, clt
 and llt load limits, interp loads interplab (and elements), enumerate
-loads elements for A/B/D and rootsys (with rings) for any other family,
+loads elements for A/B/D and rootsys for any other family,
 and verify loads verify, which imports every module (rootsys only in
 the suites that walk).  The reflection walk (rootsys, the one module
 that imports numpy) is otherwise reached only through a miss of the

@@ -3,9 +3,13 @@
 A RootSystem stores the positive roots of one irreducible factor in
 simple-root coordinates, plus the action of each simple reflection as a
 permutation of positive-root indices.  The reflections are read off the
-Coxeter diagram in groups.coxeter_edges.  Crystallographic factors use
-the integer Cartan matrix; H3, H4 and I2(m) use the exact cosine ring of
-their largest edge label, so coordinates never touch floating point.
+Coxeter diagram in groups.coxeter_edges, as integer matrices.  H3, H4
+and I2(m) take their coordinates in Z[x]/(P), with P the minimal
+polynomial of x = 2cos(pi/m) for their largest edge label m; each
+coordinate is its k = deg P coefficients in the power basis, and
+multiplying by x is the companion matrix of P.  Crystallographic
+factors have k = 1 and the integer Cartan matrix.  A root is a flat
+tuple of rank * k ints, so coordinates never touch floating point.
 
 Elements are represented by signed action vectors: act[i] = +-(j+1)
 means w(beta_i) = +-beta_j over the positive roots beta_0..beta_{N-1}.
@@ -19,9 +23,9 @@ i != s, and act_ws[s] = -act_w[s].
 The breadth-first walk over the right weak order generates each element
 exactly once, from its canonical parent u*s with s = min D_R(u), so no
 level is deduplicated and rows within a level come in generation order.
-Tallies read those levels as they are; only the two enumerators that
-promise (length, inversion set) order sort each level, by its packed
-inversion bitsets.
+Tallies and element_actions read those levels as they are; only
+enumerate_inversion_sets, which promises (length, inversion set) order,
+sorts each level, by its packed inversion bitsets.
 
 This is the walk module and the only one in the package that imports
 numpy.  The import stays at module level: a process that never walks
@@ -36,23 +40,21 @@ rootsys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from math import comb
+from operator import itemgetter, mul
 
 import numpy as np
 
-from .groups import (
-    IrreducibleLabel,
-    coxeter_edges,
-    factor_m_max,
-    group_order,
-    irreducible_degrees,
-)
-from .rings import cos_ring_generator
+from .groups import coxeter_edges, factor_m_max, group_order, irreducible_degrees
+from .polynomials import _poly_divmod_int
 from .tallies import cached_tally, read_tally_file, write_tally_file  # noqa: F401
 
 __all__ = [
     "RootSystem",
     "ElementRecord",
+    "cyclotomic_polynomial",
+    "minimal_polynomial_2cos",
     "build_root_system",
     "enumerate_inversion_sets",
     "statistics_tally",
@@ -60,7 +62,6 @@ __all__ = [
     "element_actions",
     "compose_actions",
     "simple_action",
-    "identity_action",
     "DEFAULT_ENUM_CAP",
     "TALLY_STATISTICS",
 ]
@@ -72,112 +73,170 @@ TALLY_STATISTICS = ("inv", "des", "des_plus_ides")
 _TALLY_BLOCK = 1 << 13  # rows per block of the left-descent scan
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    label: IrreducibleLabel
-    rank: int
-    positive_roots: tuple[tuple, ...]
-    # action[s][j] = index of s(beta_j); position j = s holds s itself,
-    # standing for the sign flip s(alpha_s) = -alpha_s
-    action: tuple[tuple[int, ...], ...]
+class RootSystem(namedtuple("RootSystem", "label rank positive_roots action")):
+    """Positive roots of one factor, and action[s][j] = index of s(beta_j);
+    position j = s holds s itself, standing for the sign flip
+    s(alpha_s) = -alpha_s."""
+
+    __slots__ = ()
 
     @property
     def root_count(self):
         return len(self.positive_roots)
 
 
-@dataclass(frozen=True)
-class ElementRecord:
-    inversion_set: int          # bitset over positive-root indices
-    length: int
-    right_descents: int         # bitset over simple positions
-    left_descents: int
+class ElementRecord(namedtuple("ElementRecord",
+                               "inversion_set length right_descents left_descents")):
+    """One element: its inversion set (a bitset over positive-root indices),
+    length, and right and left descents (bitsets over simple positions)."""
+
+    __slots__ = ()
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials of 2cos(2pi/N)
+
+def cyclotomic_polynomial(N):
+    """Coefficients of the N-th cyclotomic polynomial, constant term first.
+
+    Over the divisors d of N in increasing order, Phi_d is z^d - 1 divided
+    by the Phi_e already found for the proper divisors e of d; exact
+    integer arithmetic throughout.
+
+    >>> cyclotomic_polynomial(12)
+    [1, 0, -1, 0, 1]
+    """
+    if N < 1:
+        raise ValueError("N must be positive")
+    phis = {}
+    for d in range(1, N + 1):
+        if N % d == 0:
+            poly = [-1] + [0] * (d - 1) + [1]  # z^d - 1
+            for e, phi in phis.items():
+                if d % e == 0:
+                    poly = _poly_divmod_int(poly, phi)
+            phis[d] = poly
+    return phis[N]
+
+
+def minimal_polynomial_2cos(N):
+    """Minimal polynomial of 2*cos(2*pi/N) over Z, constant term first.
+
+    For N >= 3 this folds the palindromic cyclotomic polynomial through
+    the substitution z + 1/z = x: writing Phi_N(z) = z^(d/2) g(z + 1/z)
+    and solving the triangular system for g via binomial coefficients.
+
+    >>> minimal_polynomial_2cos(10)   # 2cos(36deg) = phi: x^2 - x - 1
+    [-1, -1, 1]
+    """
+    if N == 1:
+        return [-2, 1]
+    if N == 2:
+        return [2, 1]
+    p = cyclotomic_polynomial(N)
+    d = len(p) - 1
+    if d % 2 == 1 or p != p[::-1]:
+        raise ArithmeticError(f"Phi_{N} is not an even palindrome")
+    half = d // 2
+    g = [0] * (half + 1)
+    for k in range(half, -1, -1):
+        acc = p[half + k]
+        j = 1
+        while k + 2 * j <= half:
+            acc -= g[k + 2 * j] * comb(k + 2 * j, j)
+            j += 1
+        g[k] = acc
+    return g
 
 
 # ---------------------------------------------------------------------------
 # reflection rows from the Coxeter diagram
 
 def _reflection_rows(label):
-    """Rows of the geometric representation (Humphreys, Reflection Groups
-    and Coxeter Groups, 5.3) scaled by 2: row[s][j] multiplies coordinate
-    j in s's update, and an edge labelled m contributes -2cos(pi/m).
+    """(k, rows): rows[s] lists (pos, pick, coefs) for the k flat entries
+    pos that s rewrites, each as sum(map(mul, coefs, pick(root))).
 
-    A/B/D/E/F use the integer Cartan matrix.  H and I2 use the cosine
-    ring of their largest label, whose generator is 2cos(pi/m_max); the
-    only other label they carry is 3, where -2cos(pi/3) = -1.
+    This is the geometric representation (Humphreys, Reflection Groups and
+    Coxeter Groups, 5.3) scaled by 2: s(c)_s = -c_s + sum_j w_sj c_j over
+    the neighbours j of s, with w_sj = 2cos(pi/m) on an edge labelled m.
+    H and I2 carry two labels.  Their largest, m_max, gives w_sj = x, which
+    maps a coefficient vector c to the companion matrix of P times c:
+    (x c)_r = c_(r-1) - p_r c_(k-1).  The other is 3, with w_sj = 1.  On a
+    crystallographic double bond (a, b, 4), w_ab = 1 and w_ba = 2: b is the
+    short root in this orientation, and the statistics computed here do
+    not depend on which end is short.
     """
     n = label.rank
-    if label.family in ("H", "I2"):
-        top = factor_m_max(label)
-        gen, one = cos_ring_generator(top)
-    else:
-        top, one = None, 1
-    zero = one - one
-    rows = [[one + one if i == j else zero for j in range(n)] for i in range(n)]
+    top = factor_m_max(label) if label.family in ("H", "I2") else None
+    p = minimal_polynomial_2cos(2 * top) if top else [0, 1]
+    k = len(p) - 1
+    weights = [{} for _ in range(n)]
     for a, b, m in coxeter_edges(label):
         if m == top:
-            rows[a][b] = rows[b][a] = -gen
+            weights[a][b] = weights[b][a] = None  # multiply by x
         elif m == 3:
-            rows[a][b] = rows[b][a] = -one
+            weights[a][b] = weights[b][a] = 1
         else:
-            # double bond: b is the short root in this orientation; the
-            # statistics computed here do not depend on which end is short
-            rows[a][b] = -1
-            rows[b][a] = -2
-    return rows, one, zero
+            weights[a][b], weights[b][a] = 1, 2
+    rows = []
+    for s in range(n):
+        row = []
+        for r in range(k):
+            terms = {s * k + r: -1}
+            for j, w in weights[s].items():
+                if w is None:
+                    if r:
+                        terms[j * k + r - 1] = 1
+                    terms[j * k + k - 1] = -p[r]
+                else:
+                    terms[j * k + r] = w
+            cols = [col for col, coef in terms.items() if coef]
+            # itemgetter of one column returns the entry, not a 1-tuple
+            pick = itemgetter(*cols) if len(cols) > 1 else (lambda c, i=cols[0]: (c[i],))
+            row.append((s * k + r, pick, tuple(terms[col] for col in cols)))
+        rows.append(row)
+    return k, rows
 
 
 def build_root_system(label):
-    """Close the simple roots under reflection; exact arithmetic throughout."""
-    rows, one, zero = _reflection_rows(label)
+    """Close the simple roots under reflection in breadth-first order,
+    reading off each reflection's action as the roots are found."""
+    k, rows = _reflection_rows(label)
     n = label.rank
     expected = sum(d - 1 for d in irreducible_degrees(label))
-
-    def reflect(s, coords):
-        out = list(coords)
-        acc = zero
-        for j, c in enumerate(coords):
-            entry = rows[s][j]
-            if entry:
-                acc = acc + entry * c
-        out[s] = coords[s] - acc
-        return tuple(out)
-
-    roots = []
-    index = {}
-    for i in range(n):
-        e = tuple(one if j == i else zero for j in range(n))
-        index[e] = i
-        roots.append(e)
+    roots = [tuple(int(j == i * k) for j in range(n * k)) for i in range(n)]
+    index = {root: i for i, root in enumerate(roots)}
+    action = [[None] * expected for _ in range(n)]
     frontier = list(range(n))
     while frontier:
         nxt = []
         for j in frontier:
-            for s in range(n):
+            root = roots[j]
+            for s, row in enumerate(rows):
                 if j == s:
-                    continue  # s(alpha_s) is the lone negative image
-                img = reflect(s, roots[j])
-                if img not in index:
-                    index[img] = len(roots)
-                    roots.append(img)
-                    nxt.append(index[img])
-                    if len(roots) > expected:
+                    action[s][j] = s  # s(alpha_s) is the lone negative image
+                    continue
+                img = list(root)
+                for pos, pick, coefs in row:
+                    img[pos] = sum(map(mul, coefs, pick(root)))
+                img = tuple(img)
+                i = index.get(img)
+                if i is None:
+                    if len(roots) == expected:
                         raise RuntimeError(
                             f"{label}: reflection closure exceeded the expected "
                             f"{expected} positive roots"
                         )
+                    i = index[img] = len(roots)
+                    nxt.append(i)
+                    roots.append(img)
+                action[s][j] = i
         frontier = nxt
     if len(roots) != expected:
         raise RuntimeError(
             f"{label}: closure found {len(roots)} positive roots, expected {expected}"
         )
-    action = []
-    for s in range(n):
-        row = []
-        for j in range(len(roots)):
-            row.append(s if j == s else index[reflect(s, roots[j])])
-        action.append(tuple(row))
-    return RootSystem(label=label, rank=n, positive_roots=tuple(roots), action=tuple(action))
+    return RootSystem(label, n, tuple(roots), tuple(map(tuple, action)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +297,25 @@ def _bfs_levels(rs):
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
 
 
-def _sorted_levels(rs):
-    """Yield (length, acts, keys) per level, rows in inversion-set order.
+def enumerate_inversion_sets(rs):
+    """ElementRecords in (length, inversion set) order.
 
-    lexsort's last key is its primary one, so the rows of keys.T run from
-    the lowest word to the highest and the bitsets compare as integers.
+    Each level is sorted by its packed inversion bitsets; lexsort's last
+    key is its primary one, so the rows of keys.T run from the lowest word
+    to the highest and the bitsets compare as integers.
     """
+    n = rs.rank
+    simple_mask = (1 << n) - 1
     for length, acts in _bfs_levels(rs):
         keys = _inversion_keys(acts)
         by_set = np.lexsort(keys.T)
-        yield length, acts[by_set], keys[by_set]
-
-
-def enumerate_inversion_sets(rs):
-    """ElementRecords in (length, inversion set) order; each level is sorted
-    by its packed inversion bitsets."""
-    n = rs.rank
-    simple_mask = (1 << n) - 1
-    for length, acts, keys in _sorted_levels(rs):
+        acts, keys = acts[by_set], keys[by_set]
         left = np.zeros(len(acts), dtype=np.int64)
         for j in range(n):
             left |= (acts == -(j + 1)).any(axis=1).astype(np.int64) << j
-        words = keys.shape[1]
-        for r in range(len(acts)):
-            inv = 0
-            for wdx in range(words):
-                inv |= int(keys[r, wdx]) << (64 * wdx)
-            yield ElementRecord(
-                inversion_set=inv,
-                length=length,
-                right_descents=inv & simple_mask,
-                left_descents=int(left[r]),
-            )
+        for row, lefts in zip(keys, left.tolist()):
+            inv = int.from_bytes(row.tobytes(), "little")
+            yield ElementRecord(inv, length, inv & simple_mask, lefts)
 
 
 def statistics_tally(rs, statistic):
@@ -301,10 +347,6 @@ def statistics_tally(rs, statistic):
 # ---------------------------------------------------------------------------
 # action vectors as explicit group elements (oracle plumbing)
 
-def identity_action(rs):
-    return tuple(range(1, rs.root_count + 1))
-
-
 def simple_action(rs, s):
     row = rs.action[s]
     return tuple(-(s + 1) if j == s else row[j] + 1 for j in range(rs.root_count))
@@ -320,7 +362,6 @@ def compose_actions(u, v):
 
 
 def element_actions(rs):
-    """All action vectors, in (length, inversion set) order."""
-    for _, acts, _ in _sorted_levels(rs):
-        for row in acts:
-            yield tuple(int(x) for x in row)
+    """All action vectors, level by level in generation order."""
+    for _, acts in _bfs_levels(rs):
+        yield from map(tuple, acts.tolist())

@@ -11,6 +11,7 @@ Slow is fine; these exist so the fast paths have something honest to match.
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -473,8 +474,8 @@ def negated_roots(coeffs):
 
 
 # Oracle root bags of A41..A60, where the live oracle route takes about 20 s
-# of a tier-1 run; `python tests/oracles.py` regenerates ROOT_BAGS_PATH from
-# the Eulerian recurrence rows and negated_roots.
+# of a tier-1 run; `python tests/oracles.py root_bags` regenerates
+# ROOT_BAGS_PATH from the Eulerian recurrence rows and negated_roots.
 ROOT_BAGS_PATH = Path(__file__).with_name("data") / "root_bags_a41_a60.json"
 ROOT_BAG_RANKS = range(41, 61)
 
@@ -495,6 +496,50 @@ def read_root_bags():
     """{group text: (values, residual)} as negated_roots returns them."""
     return {text: (tuple(map(float.fromhex, bag["values"])), float.fromhex(bag["residual"]))
             for text, bag in json.loads(ROOT_BAGS_PATH.read_text()).items()}
+
+
+# Pinned outputs of the reflection realization: sha256 digests of the
+# `enumerate --limit 3000` stdout and of repr(rs.action), written by
+# `python tests/oracles.py realization` from a known-good version of the
+# package.  Unlike the rest of this module they read the package itself,
+# so a rewrite of the realization must reproduce them byte for byte.
+REALIZATION_PATH = Path(__file__).with_name("data") / "realization_digests.json"
+REALIZATION_ENUMERATE = ("H3", "H4", "F4", "E6", "I2(7)", "I2(40)")
+REALIZATION_ACTIONS = ("E7", "E8") + tuple(f"I2({m})" for m in range(3, 61))
+
+
+def realization_digests():
+    """{"enumerate <group>" | "action <group>": sha256 hex} for the pins."""
+    import contextlib
+    import hashlib
+    import io
+
+    from coxstat.cli import main
+    from coxstat.groups import parse_descriptor
+    from coxstat.rootsys import build_root_system
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    out = {}
+    for group in REALIZATION_ENUMERATE:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["enumerate", "--group", group, "--limit", "3000"]) == 0
+        out[f"enumerate {group}"] = digest(buf.getvalue())
+    for group in REALIZATION_ACTIONS:
+        rs = build_root_system(parse_descriptor(group).factors[0])
+        out[f"action {group}"] = digest(repr(rs.action))
+    return out
+
+
+def write_realization_digests():
+    REALIZATION_PATH.parent.mkdir(exist_ok=True)
+    REALIZATION_PATH.write_text(json.dumps(realization_digests(), indent=1) + "\n")
+
+
+def read_realization_digests():
+    return json.loads(REALIZATION_PATH.read_text())
 
 
 def classical_degrees(family, n):
@@ -537,4 +582,7 @@ WORKED_B = (((-1, -2), 4), ((-2, -1), 3))   # (window, type-B inv)
 
 
 if __name__ == "__main__":
-    write_root_bags()
+    # `python tests/oracles.py [root_bags] [realization]`; no name writes both
+    _WRITERS = {"root_bags": write_root_bags, "realization": write_realization_digests}
+    for _name in sys.argv[1:] or _WRITERS:
+        _WRITERS[_name]()

@@ -561,15 +561,15 @@ _COLD = (
 )
 
 _NOT_GF = ("coxstat.limits", "coxstat.interplab", "coxstat.elements")
-# the records are namedtuples: dataclasses (and with it inspect) loads
-# only with the walk, in rootsys and rings
+# the records are namedtuples: no coxstat module loads dataclasses (and
+# with it inspect)
 _RECORDS = ("dataclasses", "inspect")
 _UNUSED = {
-    "gf": _NOT_GF + ("coxstat.rings",) + _RECORDS,
-    "moments": _NOT_GF + ("coxstat.rings",) + _RECORDS,
+    "gf": _NOT_GF + _RECORDS,
+    "moments": _NOT_GF + _RECORDS,
     "--help": _NOT_GF + _RECORDS,
-    "llt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings") + _RECORDS,
-    "clt": ("coxstat.interplab", "coxstat.elements", "coxstat.rings") + _RECORDS,
+    "llt": ("coxstat.interplab", "coxstat.elements") + _RECORDS,
+    "clt": ("coxstat.interplab", "coxstat.elements") + _RECORDS,
     "interp": ("coxstat.limits",) + _RECORDS,
     "enumerate": ("coxstat.limits", "coxstat.interplab") + _RECORDS,
 }
@@ -612,13 +612,12 @@ def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
 
 
 def test_modules_without_the_walk_do_not_import_dataclasses(tmp_path):
-    names = [f"coxstat.{m}" for m in sorted(coxstat._SUBMODULES)
-             if m not in ("rootsys", "rings")]
+    # the walk module included
+    names = [f"coxstat.{m}" for m in sorted(coxstat._SUBMODULES)]
     code = (
         "import importlib, sys\n"
         f"for name in {names!r}:\n"
         "    importlib.import_module(name)\n"
-        "assert 'coxstat.rootsys' not in sys.modules\n"
         "assert 'dataclasses' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(tmp_path),

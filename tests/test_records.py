@@ -24,6 +24,7 @@ from coxstat.polynomials import (
     negated_real_roots,
     structural_checks,
 )
+from coxstat.rootsys import build_root_system, enumerate_inversion_sets
 
 # one instance of every record class, built through the public API
 _RECORDS = {
@@ -44,6 +45,9 @@ _RECORDS = {
     "SummaryRow": lambda: summarize(StatisticDataset("des", {3: (1, 4, 1)}))[0],
     "RationalFormula": lambda: lagrange_guess([(n, Fraction(n + 2, 12))
                                                for n in range(1, 8)])[0],
+    "RootSystem": lambda: build_root_system(irreducible("I2", 2, 5)),
+    "ElementRecord": lambda: list(enumerate_inversion_sets(
+        build_root_system(irreducible("A", 2))))[3],
 }
 
 # records holding dicts are unhashable, as they were as dataclasses
@@ -77,6 +81,13 @@ def test_reprs_are_pinned():
     assert repr(lagrange_guess([(n, n * n) for n in range(1, 8)])) == (
         "[RationalFormula(numerator=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
         "a=0, b=0, c=0)]")
+    rs = build_root_system(irreducible("A", 2))
+    assert repr(rs) == (
+        "RootSystem(label=IrreducibleLabel(family='A', rank=2, m=None), rank=2, "
+        "positive_roots=((1, 0), (0, 1), (1, 1)), action=((0, 2, 1), (2, 1, 0)))")
+    assert rs.root_count == 3
+    assert repr(list(enumerate_inversion_sets(rs))[3]) == (
+        "ElementRecord(inversion_set=5, length=2, right_descents=1, left_descents=2)")
 
 
 @pytest.mark.parametrize("name", sorted(_RECORDS))

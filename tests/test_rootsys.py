@@ -18,26 +18,26 @@ from coxstat.groups import (
 )
 from coxstat.moments import double_eulerian_moments
 from coxstat.polynomials import gf_inv
-from coxstat.rings import (
-    cos_ring_generator,
-    cyclotomic_polynomial,
-    minimal_polynomial_2cos,
-)
 from coxstat.rootsys import (
     ElementRecord,
     build_root_system,
     compose_actions,
+    cyclotomic_polynomial,
     element_actions,
     enumerate_inversion_sets,
-    identity_action,
+    minimal_polynomial_2cos,
     simple_action,
     statistics_tally,
 )
 from coxstat.tallies import cached_tally, read_tally_file, write_tally_file
 
 
+def identity_action(rs):
+    return tuple(range(1, rs.root_count + 1))
+
+
 # ---------------------------------------------------------------------------
-# rings
+# minimal polynomials
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
@@ -59,16 +59,6 @@ def test_minimal_polynomial_of_two_cos():
         x = 2 * math.cos(2 * math.pi / N)
         val = sum(c * x ** i for i, c in enumerate(poly))
         assert abs(val) < 1e-9, N
-
-
-def test_cos_ring():
-    gen, one = cos_ring_generator(5)   # 2cos(36) = phi
-    assert gen * gen == gen + one      # phi^2 = phi + 1
-    gen7, one7 = cos_ring_generator(7)
-    # minimal polynomial of 2cos(pi/7): x^3 - x^2 - 2x + 1
-    assert gen7 * gen7 * gen7 - gen7 * gen7 - 2 * gen7 + one7 == one7 - one7
-    with pytest.raises(ValueError):
-        cos_ring_generator(2)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +126,19 @@ def test_dihedral_closed_form_action():
         ang1 = math.pi - math.pi / m
         a1 = np.array([math.cos(ang1), math.sin(ang1)])
 
-        def val(elt):
-            if isinstance(elt, int):
-                return float(elt)
-            x = 2 * math.cos(math.pi / m)
-            out = 0.0
-            for i, c in enumerate(elt.coeffs):
-                out += c * x ** i
-            return out
+        # each coordinate is k power-basis coefficients of 2cos(pi/m):
+        # alpha_0's in the first k entries of a root, alpha_1's in the next k
+        k = len(minimal_polynomial_2cos(2 * m)) - 1
+        x = 2 * math.cos(math.pi / m)
+
+        def val(coeffs):
+            return sum(c * x ** i for i, c in enumerate(coeffs))
 
         floats = []
         for coords in rs.positive_roots:
-            v = val(coords[0]) * a0 + val(coords[1]) * a1
-            floats.append(v)
+            assert len(coords) == 2 * k
+            assert all(type(c) is int for c in coords)
+            floats.append(val(coords[:k]) * a0 + val(coords[k:]) * a1)
         # all unit length, pairwise distinct angles in [0, pi)
         angles = sorted(math.atan2(v[1], v[0]) % math.pi for v in floats)
         for v in floats:
@@ -167,6 +157,15 @@ def test_rejects_overflowing_closure():
         with pytest.raises(ValueError,
                            match="696729600 of E8 exceeds enumeration cap 5000000"):
             walk()
+
+
+def test_realization_matches_pinned_digests():
+    # enumerate stdout and action tables of E, F, H and I2, pinned from a
+    # known-good version by tests/oracles.py
+    want = oracles.read_realization_digests()
+    got = oracles.realization_digests()
+    assert sorted(got) == sorted(want)
+    assert [key for key in want if got[key] != want[key]] == []
 
 
 # ---------------------------------------------------------------------------
