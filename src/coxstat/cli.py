@@ -107,7 +107,6 @@ def _clt_doc(args, report):
     }
     if args.stat == "inv":
         doc["verdict"] = report.ratio.verdict
-        doc["fitted_exponent"] = report.ratio.fitted_exponent
         doc["rationale"] = report.ratio.rationale
         ratios = dict((n, v) for n, v in report.ratio.samples)
         doc["per_n"] = [
@@ -116,11 +115,9 @@ def _clt_doc(args, report):
             for n, r, dn, var in report.per_n]
     else:
         doc["verdict"] = report.trend.verdict
-        doc["fitted_exponent"] = report.trend.fitted_exponent
         doc["rationale"] = report.trend.rationale
         doc["conditions"] = {
             "rank_to_infinity": report.cond_rank_to_infinity,
-            "rank_unbounded": report.cond_rank_unbounded,
             "dihedral_divergence": report.cond_dihedral_divergence,
         }
         sigmas = dict((n, v) for n, v in report.trend.samples)
@@ -316,9 +313,11 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, OSError, RuntimeError, ArithmeticError, Warning) as exc:
-        # a Warning gets here only when -W error turns it into an exception
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, ArithmeticError, Warning,
+            MemoryError) as exc:
+        # a Warning gets here only when -W error turns it into an exception;
+        # a MemoryError usually carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     finally:
         if digits is not None:

@@ -1,4 +1,5 @@
-"""Limit behavior of statistic sequences: trend checks and diagnostics.
+"""Limit behavior of statistic sequences: exact normal-limit verdicts
+and diagnostics.
 
 A SequenceSpec describes a family n -> W^(n) in a small grammar:
 
@@ -24,12 +25,15 @@ across the sorted rows, so such a sweep is linear in the range rather
 than quadratic.  SequenceSpec.descriptor and dihedral_parameters stay
 the reference route for tests and verify.
 
-The checks themselves are numeric diagnostics, not proofs: sampled
-values over the requested range, a fitted log-log exponent, and a
-four-way verdict.  For recognized shapes (a single growing classical
-family; a product of dihedrals with polynomial or exponential
-parameter) the verdict is settled symbolically from the closed forms
-and the numeric trend is reported alongside.
+The verdicts read neither the rows nor the requested range.  Each
+term gets its growth orders as n -> infinity from the per-factor
+closed forms and the polynomial degrees of its parameter, power and
+range (_growth); the verdict combines them.  A plain term F(p(n))^c(n),
+a product over i = const..hi(n) with parameter and power polynomial in
+i (or parameter c0^(alpha i + beta)), and an empty or eventually fixed
+product are decided; any other term, such as one with n inside a
+product's factor, is undecided, and a verdict that needs it is
+inconclusive with clt_holds None.  The rows are numeric diagnostics.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ __all__ = [
     "TrendReport",
     "MahonianCltReport",
     "EulerianCltReport",
-    "trend_verdict",
     "clt_check_inv",
     "clt_check_des",
     "LindebergReport",
@@ -179,48 +182,45 @@ def _expr_vars(node):
     return _expr_vars(node[1]) | _expr_vars(node[2])
 
 
-def _has_variable_exponent(node):
-    if node[0] in ("num", "var"):
-        return False
-    if node[0] == "neg":
-        return _has_variable_exponent(node[1])
-    if node[0] == "^" and _expr_vars(node[2]):
-        return True
-    return any(_has_variable_exponent(c) for c in node[1:])
+def _degree_bound(node):
+    """An upper bound on the degree of node as a polynomial, or None
+    when an exponent mentions a variable or is negative."""
+    op = node[0]
+    if op in ("num", "var"):
+        return int(op == "var")
+    if op == "neg":
+        return _degree_bound(node[1])
+    a = _degree_bound(node[1])
+    if op == "^":
+        if a is None or _expr_vars(node[2]):
+            return None
+        e = _eval_expr(node[2], {})
+        return a * e if e >= 0 else None
+    b = _degree_bound(node[2])
+    if a is None or b is None:
+        return None
+    return a + b if op == "*" else max(a, b)
 
 
-def _polynomial_degree_in_i(node):
-    """Exact degree via finite differences, or None if not polynomial in i."""
-    if _expr_vars(node) - {"i"}:
+def _poly(node, var):
+    """(degree, sign of the leading coefficient) of node as an integer
+    polynomial in var, with (0, 0) for the zero polynomial; None when
+    node mentions another variable, has a variable exponent, or may
+    exceed degree 64.  Exact: node is sampled at one point more than
+    its degree bound and differenced down to its top nonzero level."""
+    try:
+        bound = _degree_bound(node)
+        if bound is None or bound > 64 or _expr_vars(node) - {var}:
+            return None
+        vals = [_eval_expr(node, {var: t}) for t in range(bound + 1)]
+    except ValueError:
         return None
-    if _has_variable_exponent(node):
-        return None
-    vals = [_eval_expr(node, {"i": t}) for t in range(1, 12)]
-    for deg in range(len(vals)):
-        if all(v == 0 for v in vals):
-            return deg if any(v != 0 for v in vals) else max(deg - 1, 0)
+    degree, lead = 0, 0
+    for k in range(bound + 1):
+        if any(vals):
+            degree, lead = k, vals[0]
         vals = [b - a for a, b in zip(vals, vals[1:])]
-        if all(v == 0 for v in vals):
-            return deg
-    return None
-
-
-def _match_exponential_in_i(node):
-    """c^(linear in i, positive slope) -> base c, else None."""
-    if node[0] != "^":
-        return None
-    base, exp = node[1], node[2]
-    if _expr_vars(base):
-        return None
-    if _expr_vars(exp) != {"i"}:
-        return None
-    if _has_variable_exponent(exp) or _polynomial_degree_in_i(exp) != 1:
-        return None
-    c = _eval_expr(base, {})
-    slope = _eval_expr(exp, {"i": 2}) - _eval_expr(exp, {"i": 1})
-    if c >= 2 and slope >= 1:
-        return c
-    return None
+    return degree, (lead > 0) - (lead < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +299,6 @@ class SequenceSpec(namedtuple("SequenceSpec", "source_text terms")):
                 out.extend([value] * count)
         return out
 
-    def classify(self):
-        """("classical", family) | ("dihedral_poly", degree) |
-        ("dihedral_exp", base) | ("other",)."""
-        if len(self.terms) == 1:
-            t = self.terms[0]
-            if (t.prod_range is None and t.power is None
-                    and t.family in ("A", "B", "D")
-                    and "n" in _expr_vars(t.param)):
-                return ("classical", t.family)
-            if (t.prod_range is not None and t.power is None and t.family == "I2"
-                    and t.prod_range[0] == ("num", 1)
-                    and t.prod_range[1] == ("var", "n")):
-                deg = _polynomial_degree_in_i(t.param)
-                if deg is not None:
-                    return ("dihedral_poly", deg)
-                base = _match_exponential_in_i(t.param)
-                if base is not None:
-                    return ("dihedral_exp", base)
-        return ("other",)
-
 
 def parse_sequence_spec(text):
     p = _Parser(text)
@@ -383,79 +363,20 @@ def _parse_factor(p):
 
 
 # ---------------------------------------------------------------------------
-# trend verdicts
+# CLT condition checks
 
 class TrendReport(namedtuple("TrendReport", [
-    "samples",          # ((n, value), ...)
-    "fitted_exponent",
-    "verdict",
-    "rationale",
+    "samples",          # ((n, value), ...): diagnostics, read by no verdict
+    "verdict",          # from the exact growth orders, or None
+    "rationale",        # the sentence behind the verdict, or None
 ])):
     __slots__ = ()
 
 
-def _fit_exponent(samples):
-    xs = [math.log(n) for n, _ in samples]
-    ys = [math.log(v) for _, v in samples]
-    k = len(xs)
-    if k < 2:
-        return 0.0
-    mx = sum(xs) / k
-    my = sum(ys) / k
-    denom = sum((x - mx) ** 2 for x in xs)
-    if denom == 0:
-        return 0.0
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
-
-
-def trend_verdict(samples, quantity="value"):
-    """Diagnostic four-way classification of a positive sample sequence.
-
-    tends_to_zero:     last < first/2 and fitted exponent < -0.1
-    tends_to_infinity: last > 2*first and fitted exponent > +0.1
-    bounded:           exponent within +-0.05 and the last quarter of the
-                       samples spreads less than 10% around its mean
-    otherwise inconclusive.  Under six samples: always inconclusive.
-    The exponent is fitted over the samples with n >= 1 (log n needs
-    n > 0); an n = 0 sample still counts as the first value.
-    """
-    samples = tuple((int(n), float(v)) for n, v in samples)
-    if len(samples) < 6:
-        return TrendReport(samples, 0.0, "inconclusive",
-                           f"only {len(samples)} samples; need at least 6")
-    if any(v <= 0 for _, v in samples):
-        return TrendReport(samples, 0.0, "inconclusive",
-                           f"nonpositive {quantity} in the range")
-    first, last = samples[0][1], samples[-1][1]
-    slope = _fit_exponent([(n, v) for n, v in samples if n >= 1])
-    base = (f"{quantity}: {first:.4g} at n={samples[0][0]} to {last:.4g} "
-            f"at n={samples[-1][0]}, fitted exponent {slope:+.3f}; "
-            "numeric diagnostic over the range, not a proof")
-    if last < 0.5 * first and slope < -0.1:
-        return TrendReport(samples, slope, "tends_to_zero", base)
-    if last > 2.0 * first and slope > 0.1:
-        return TrendReport(samples, slope, "tends_to_infinity", base)
-    tail = [v for _, v in samples[-max(len(samples) // 4, 2):]]
-    mean = sum(tail) / len(tail)
-    spread = (max(tail) - min(tail)) / mean if mean > 0 else math.inf
-    if abs(slope) <= 0.05 and spread < 0.10:
-        return TrendReport(samples, slope, "bounded",
-                           base + f"; tail spread {spread:.2%}")
-    return TrendReport(samples, slope, "inconclusive", base)
-
-
-def _override(report, verdict, why):
-    return TrendReport(report.samples, report.fitted_exponent, verdict,
-                       report.rationale + "; " + why)
-
-
-# ---------------------------------------------------------------------------
-# CLT condition checks
-
 class MahonianCltReport(namedtuple("MahonianCltReport", [
     "spec_text",
     "ratio",            # TrendReport of d_n / s_n
-    "m_ratio",          # TrendReport of m_n / s_n
+    "m_ratio",          # TrendReport of m_n / s_n, samples only
     "clt_holds",        # True, False or None
     "symbolic",         # str or None
     "rank_increasing",
@@ -469,9 +390,8 @@ class EulerianCltReport(namedtuple("EulerianCltReport", [
     "trend",            # TrendReport of s_n itself
     "clt_holds",        # True, False or None
     "symbolic",         # str or None
-    "cond_rank_to_infinity",
-    "cond_rank_unbounded",
-    "cond_dihedral_divergence",
+    "cond_rank_to_infinity",     # True, False or None, like clt_holds
+    "cond_dihedral_divergence",  # likewise
     "partial_sums",         # ((n, float), ...)
     "nondihedral_ranks",    # ((n, int), ...)
     "rank_increasing",
@@ -642,51 +562,152 @@ def _sweep(spec, ns):
         yield n, total
 
 
-def _settled(kind):
-    """Closed-form verdicts for a shape SequenceSpec.classify recognizes:
-    (d_n / s_n verdict, its reason, the m_n / s_n note, s_n verdict for
-    descents, its reason), or None for any other shape."""
-    if kind[0] == "classical":
-        return ("tends_to_zero",
-                f"single {kind[1]}(n) factor: d_n grows linearly while "
-                "s_n^2 grows cubically, so d_n / s_n vanishes",
-                "m_n is bounded",
-                "tends_to_infinity",
-                "single growing classical factor: variance grows like "
-                "rank/12, so s_n diverges")
-    if kind[0] == "dihedral_poly":
-        deg = kind[1]
-        des = (("tends_to_infinity",
-                f"dihedral parameter of degree {deg}: the 1/m sum "
-                "diverges (harmonic or slower decay), variance diverges")
-               if deg <= 1 else
-               ("bounded",
-                f"dihedral parameter of degree {deg}: the 1/m sum "
-                "converges, variance stays bounded"))
-        return ("tends_to_zero",
-                "product of dihedrals with polynomial parameter: each "
-                "summand contributes variance (m_i^2+2)/12 while "
-                "d_n = max m_i, so d_n / s_n vanishes",
-                "same ratio", *des)
-    if kind[0] == "dihedral_exp":
-        return ("bounded",
-                "product of dihedrals with exponential parameter: the "
-                "last factor's degree stays comparable to the total "
-                "standard deviation, so d_n / s_n does not vanish",
-                "same ratio",
-                "bounded",
-                "exponential dihedral parameter: the 1/m sum converges "
-                "geometrically, variance stays bounded")
-    return None
+# ---------------------------------------------------------------------------
+# exact growth orders
+#
+# Per factor of rank r, Var(des) = (r - 2)/12 + 1/m_max lies in
+# [r/12, r/4], or in [1/(4m), 1/m] for I2(m) taken on the raw m; the
+# largest degree lies in [r, 2r], or equals m; the inversion variance
+# is within constant factors of r^3, or of m^2.  Every share is
+# nonnegative, so a sum diverges iff one of its terms does, and the
+# polynomial degrees of a term's parameter, power and range fix the
+# power of n that each of its sums grows like.
+
+# One term's _Growth: is it an I2 term; does its descent variance
+# diverge (None: no rule decides the term); the powers of n its largest
+# degree and inversion variance grow like; for an exponential parameter,
+# whether d^2 / variance vanishes (else None); and why it diverges, or
+# why no rule decides it.
+_Growth = namedtuple("_Growth", "dihedral des degree variance exponential why")
+
+
+def _label_ok(term, var, p):
+    """Is term's label valid for every large var?  p = _poly(term.param, var)."""
+    if p[0] >= 1:
+        return p[1] > 0 and term.family in ("A", "B", "D", "I2")
+    try:
+        _term_labels(term._replace(power=None), {var: 0}, 0)
+    except ValueError:
+        return False
+    return True
+
+
+def _growth(term):
+    """The _Growth of one term, from its polynomial degrees:
+
+    F(p(n))^c(n), deg p = a, deg c = b: des diverges iff a + b >= 1
+    (b > a for I2), degree n^a, variance n^(b + 3a) (n^(b + 2a) for I2).
+    prod(F(p(i))^c(i), i=lo..hi(n)), lo constant, deg hi = h >= 1, and
+    k = 3 (k = 2 for I2): des diverges (for I2 iff b - a >= -1), degree
+    n^(h a), variance n^(h (b + k a + 1)); with p(i) = c0^(alpha i +
+    beta), c0 >= 2, des diverges iff F != I2 and d^2 / variance
+    vanishes iff F != I2 or b >= 1.  An empty or eventually fixed term
+    is bounded; any other shape is undecided.
+    """
+    dihedral = term.family == "I2"
+    power = term.power or ("num", 1)
+    bounded = _Growth(dihedral, False, 0, 0, None, "")
+
+    def undecided(why):
+        return _Growth(dihedral, None, 0, 0, None, why)
+
+    var = "n" if term.prod_range is None else "i"
+    c, h = _poly(power, var), (1, 1)   # h: degree of hi; a stand-in for plain terms
+    if c == (0, 0):
+        return bounded      # empty
+    if term.prod_range is not None:
+        lo, hi = term.prod_range
+        h = _poly(hi, "n")
+        if h is not None and h[0] >= 1 and h[1] < 0 and not _expr_vars(lo):
+            return bounded  # eventually empty
+        if _expr_vars(lo) or "n" in _expr_vars(term.param) | _expr_vars(power):
+            return undecided("n inside its factor, power or lower bound")
+        if h is not None and h[0] == 0:
+            return bounded  # the same factors for every n
+    p = term.param
+    exponential = (var == "i" and p[0] == "^" and _poly(p[1], "i") == (0, 1)
+                   and _eval_expr(p[1], {"i": 0}) >= 2 and _poly(p[2], "i") == (1, 1))
+    p = (1, 1) if exponential else _poly(p, var)
+    if None in (c, p, h):
+        return undecided("a variable exponent or a degree above 64")
+    if c[1] < 0 or not _label_ok(term, var, p):
+        return undecided("a label or power that is eventually invalid")
+    a, b, h = p[0], c[0], h[0]
+    if term.prod_range is None and dihedral:
+        return _Growth(True, b > a, a, b + 2 * a, None,
+                       "its power outgrows its parameter")
+    if term.prod_range is None:
+        return _Growth(False, a + b >= 1, a, b + 3 * a, None,
+                       "its rank or its power grows")
+    grows = "ever more factors, each adding at least 1/12"
+    if exponential:
+        return _Growth(dihedral, not dihedral, 0, 0, not dihedral or b >= 1, grows)
+    if dihedral:
+        return _Growth(True, b - a >= -1, h * a, h * (b + 2 * a + 1), None,
+                       "its power over its parameter decays no faster than 1/i")
+    return _Growth(False, True, h * a, h * (b + 3 * a + 1), None, grows)
+
+
+def _any(flags):
+    """True if any flag is True, else None if any is None, else False."""
+    flags = list(flags)
+    return True if True in flags else (None if None in flags else False)
+
+
+def _named(spec):
+    """(name, _Growth) of each term, named by position and family."""
+    return [(f"term {k} ({t.family}{' product' if t.prod_range else ''})", _growth(t))
+            for k, t in enumerate(spec.terms, 1)]
+
+
+def _inv_verdict(terms):
+    """(clt_holds, verdict, sentence) for d_n / s_n -> 0."""
+    for name, g in terms:
+        if g.des is None:
+            return (None, "inconclusive",
+                    f"{name}: {g.why}; no exact rule decides d_n / s_n")
+    exp = [g for _, g in terms if g.exponential is not None]
+    if len(exp) > 1:
+        return (None, "inconclusive", "two products with exponential parameter; "
+                "no exact rule decides d_n / s_n")
+    if exp:
+        sentence = ("a product with exponential parameter dominates every other "
+                    "term, so d_n / s_n ")
+        if exp[0].exponential:
+            return True, "tends_to_zero", sentence + "vanishes as its rank or power grows"
+        return False, "bounded", sentence + "stays bounded away from 0"
+    d = max(g.degree for _, g in terms)
+    v = max(g.variance for _, g in terms)
+    sentence = (f"by the per-factor closed forms, d_n grows like n^{d} and "
+                f"s_n^2 like n^{v}, so d_n / s_n ")
+    if 2 * d < v:
+        return True, "tends_to_zero", sentence + "vanishes"
+    return False, "bounded", sentence + "stays bounded away from 0"
+
+
+def _des_verdict(terms):
+    """(clt_holds, verdict, sentence) for s_n -> infinity."""
+    holds = _any(g.des for _, g in terms)
+    if holds is False:
+        return (False, "bounded", "every term's share of the descent variance "
+                "stays bounded, so s_n does too")
+    name, g = next((name, g) for name, g in terms if g.des is holds)
+    if holds:
+        return (True, "tends_to_infinity",
+                f"{name}: {g.why}, so its share of the descent variance diverges")
+    return (None, "inconclusive",
+            f"{name}: {g.why}; no exact rule decides it, and no term is known to diverge")
 
 
 def clt_check_inv(spec, n_range):
-    """Normal-limit diagnostic for inversions: does d_n / s_n vanish?
+    """Normal limit of inversions: does d_n / s_n vanish?
 
-    d_n is the largest degree and s_n the standard deviation; the
-    companion ratio m_n / s_n (largest edge label over sigma) is
-    reported alongside.  clt_holds True needs verdict tends_to_zero.
-    Rows come out in increasing n whatever the order of n_range.
+    d_n is the largest degree and s_n the standard deviation.  The
+    verdict comes from each term's exact growth orders (_growth), never
+    from the rows: clt_holds is True or False when every term is
+    decided, else None with verdict inconclusive.  The rows, with the
+    samples of d_n / s_n and of m_n / s_n (m_n the largest edge label),
+    are diagnostics, in increasing n whatever the order of n_range.
     """
     spec = _spec_of(spec)
     ns = _range_list(n_range)
@@ -704,34 +725,27 @@ def clt_check_inv(spec, n_range):
             m_samples.append((n, mm / s))
         ranks.append(agg.rank)
         per_n.append((n, agg.rank, agg.max_degree, var))
-    ratio = trend_verdict(ratio_samples, "d_n / s_n")
-    m_ratio = trend_verdict(m_samples, "m_n / s_n")
-    settled = _settled(spec.classify())
-    symbolic = None
-    if settled is not None:
-        verdict, symbolic, m_note = settled[:3]
-        ratio = _override(ratio, verdict, "settled by closed forms")
-        m_ratio = _override(m_ratio, verdict, m_note)
-    holds = {"tends_to_zero": True, "inconclusive": None}.get(ratio.verdict, False)
+    holds, verdict, why = _inv_verdict(_named(spec))
     return MahonianCltReport(
         spec_text=spec.source_text,
-        ratio=ratio,
-        m_ratio=m_ratio,
+        ratio=TrendReport(tuple(ratio_samples), verdict, why),
+        m_ratio=TrendReport(tuple(m_samples), None, None),
         clt_holds=holds,
-        symbolic=symbolic,
+        symbolic=None if holds is None else why,
         rank_increasing=all(a < b for a, b in zip(ranks, ranks[1:])),
         per_n=tuple(per_n),
     )
 
 
 def clt_check_des(spec, n_range):
-    """Normal-limit diagnostic for descents: does the variance diverge?
+    """Normal limit of descents: does the variance diverge?
 
-    Reports the s_n trend plus the two sufficient conditions it can
-    detect: the non-dihedral part's rank growing without bound, and the
-    divergence of the sum of 1/m over dihedral factors (computed on raw
-    pre-normalization edge labels).  A detected condition that contradicts
-    a bounded trend leaves the verdict inconclusive and clt_holds None.
+    Decided like clt_check_inv, from each term's exact growth orders:
+    the variance diverges iff some term's share does.  The same rule
+    over the non-I2 terms gives cond_rank_to_infinity, and over the I2
+    terms (the sum of 1/m over raw edge labels) cond_dihedral_divergence.
+    The rows, with the partial sums of 1/m and the non-dihedral ranks,
+    are diagnostics.
     """
     spec = _spec_of(spec)
     ns = _range_list(n_range)
@@ -745,40 +759,16 @@ def clt_check_des(spec, n_range):
         sums.append((n, agg.inverse_m_sum()))
         nd_ranks.append((n, agg.nondihedral_rank))
         per_n.append((n, agg.rank, var))
-    trend = trend_verdict(s_samples, "s_n")
-    kind = spec.classify()
-    settled = _settled(kind)
-    if settled is None:
-        symbolic = None
-        # the sufficient conditions, read off their trends
-        a1 = trend_verdict([(n, float(r)) for n, r in nd_ranks],
-                           "nondihedral rank").verdict == "tends_to_infinity"
-        b = trend_verdict(sums, "sum of 1/m").verdict == "tends_to_infinity"
-    else:
-        verdict, symbolic = settled[3:]
-        trend = _override(trend, verdict, "settled by closed forms")
-        # a classical factor's rank grows; a dihedral product's variance
-        # diverges exactly when its 1/m sum does
-        a1 = kind[0] == "classical"
-        b = not a1 and verdict == "tends_to_infinity"
-    a2 = a1 or nd_ranks[-1][1] > nd_ranks[0][1]
-    holds = {"tends_to_infinity": True, "inconclusive": None}.get(trend.verdict, False)
-    # a detected sufficient condition contradicts a bounded trend; neither
-    # numeric diagnostic is a proof, so the verdict stays open
-    if (a1 or b) and holds is False:
-        trend = _override(trend, "inconclusive",
-                          "a sufficient divergence condition contradicts the "
-                          f"{trend.verdict} trend")
-        holds = None
+    terms = _named(spec)
+    holds, verdict, why = _des_verdict(terms)
     ranks = [r for _, r, _ in per_n]
     return EulerianCltReport(
         spec_text=spec.source_text,
-        trend=trend,
+        trend=TrendReport(tuple(s_samples), verdict, why),
         clt_holds=holds,
-        symbolic=symbolic,
-        cond_rank_to_infinity=a1,
-        cond_rank_unbounded=a2,
-        cond_dihedral_divergence=b,
+        symbolic=None if holds is None else why,
+        cond_rank_to_infinity=_any(g.des for _, g in terms if not g.dihedral),
+        cond_dihedral_divergence=_any(g.des for _, g in terms if g.dihedral),
         partial_sums=tuple(sums),
         nondihedral_ranks=tuple(nd_ranks),
         rank_increasing=all(x < y for x, y in zip(ranks, ranks[1:])),

@@ -317,6 +317,7 @@ _EXAMPLES = [
     ("prod(I2(i^2), i=1..n)", True, False),
     ("A1^(n-2) x I2(n)", False, True),
     ("prod(I2(2^i), i=1..n)", False, False),
+    ("prod(I2(i), i=1..n) x A1", True, True),
 ]
 
 

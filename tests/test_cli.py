@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 import coxstat
+from coxstat import cli
 from coxstat.cli import main
 from coxstat.groups import parse_descriptor
 from coxstat.limits import clt_check_des, clt_check_inv, llt_sup_distance
@@ -264,21 +265,50 @@ def test_clt_prints_integers_past_the_digit_limit(tmp_path):
 
 @pytest.mark.parametrize("stat", ["des", "inv"])
 def test_clt_range_from_zero(capsys, stat):
-    # n = 0 leaves H3 alone, a valid group; the trend fit skips n = 0,
-    # where log n is undefined, and the table keeps its row
+    # n = 0 leaves H3 alone, a valid group, and the table keeps its row
     spec = "prod(A(i)^2, i=1..n) x H3"
     rc, out, err = run(capsys, "clt", "--spec", spec, "--stat", stat, "--range", "0..12")
     assert rc == 0, err
     doc = json.loads(out)
     assert [row["n"] for row in doc["per_n"]] == list(range(13))
     assert doc["per_n"][0]["rank"] == 3
-    rc, out, _ = run(capsys, "clt", "--spec", spec, "--stat", stat, "--range", "1..12")
-    assert rc == 0
-    assert doc["fitted_exponent"] == json.loads(out)["fitted_exponent"]
-    # with no n >= 1 in the range there is nothing to fit
     rc, out, _ = run(capsys, "clt", "--spec", "A(n+8)", "--stat", stat, "--range=-6..0")
     assert rc == 0
-    assert json.loads(out)["fitted_exponent"] == 0.0
+    assert [row["n"] for row in json.loads(out)["per_n"]] == list(range(-6, 1))
+
+
+_CLT_KEYS = {"spec", "statistic", "clt_holds", "symbolic", "rank_increasing",
+             "verdict", "rationale", "per_n"}
+
+
+@pytest.mark.parametrize("stat, keys, row_keys", [
+    ("inv", _CLT_KEYS, {"n", "rank", "d_n", "variance", "ratio"}),
+    ("des", _CLT_KEYS | {"conditions"},
+     {"n", "rank", "variance", "s_n", "dihedral_inverse_sum"}),
+])
+def test_clt_json_keys_are_pinned(capsys, stat, keys, row_keys):
+    rc, out, _ = run(capsys, "clt", "--spec", "A(n)", "--stat", stat, "--range", "3..5")
+    assert rc == 0
+    doc = json.loads(out)
+    assert set(doc) == keys
+    assert set(doc["per_n"][0]) == row_keys
+    if stat == "des":
+        assert set(doc["conditions"]) == {"rank_to_infinity", "dihedral_divergence"}
+
+
+def test_clt_undecided_spec_is_inconclusive(capsys):
+    spec = "prod(I2(n+i), i=1..n)"
+    rc, out, _ = run(capsys, "clt", "--spec", spec, "--stat", "inv", "--range", "1..9")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["clt_holds"] is None and doc["symbolic"] is None
+    assert doc["verdict"] == "inconclusive"
+    assert '"clt_holds":null' in out
+    rc, out, _ = run(capsys, "clt", "--spec", spec, "--stat", "des", "--range", "1..9",
+                     "--emit", "table")
+    assert rc == 0
+    assert "verdict: inconclusive" in out
+    assert "clt_holds: None" in out
 
 
 def test_clt_table_output(capsys):
@@ -294,6 +324,18 @@ def test_clt_bad_range_is_usage_error(capsys):
                      "--range", "7")
     assert rc == 2
     assert "range" in err
+
+
+def test_out_of_memory_is_a_runtime_error(capsys, monkeypatch):
+    # raised, not provoked: nothing is allocated
+    def exhausted(d):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._GF, "inv", exhausted)
+    rc, out, err = run(capsys, "gf", "--group", "A3", "--stat", "inv")
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == ["error: MemoryError"]
 
 
 def test_clt_bad_spec_is_usage_error(capsys):

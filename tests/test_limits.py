@@ -1,5 +1,5 @@
-"""Sequence specs, trend verdicts, CLT condition checks, Lindeberg and
-local-limit diagnostics."""
+"""Sequence specs, exact CLT verdicts from growth orders, sweep rows,
+Lindeberg and local-limit diagnostics."""
 
 import math
 from fractions import Fraction
@@ -14,7 +14,6 @@ from coxstat.limits import (
     clt_check_inv,
     llt_sup_distance,
     parse_sequence_spec,
-    trend_verdict,
     triangular_array_diagnostics,
 )
 from coxstat.moments import eulerian_moments, mahonian_moments
@@ -49,16 +48,6 @@ class TestSequenceSpecs:
         assert parse_sequence_spec(EX3).dihedral_parameters(7) == [7]
         assert parse_sequence_spec("B(n)").dihedral_parameters(5) == []
 
-    def test_classification(self):
-        assert parse_sequence_spec("A(n)").classify() == ("classical", "A")
-        assert parse_sequence_spec("D(n)").classify() == ("classical", "D")
-        assert parse_sequence_spec(EX1).classify() == ("dihedral_poly", 1)
-        assert parse_sequence_spec(EX2).classify() == ("dihedral_poly", 2)
-        assert parse_sequence_spec(EX4).classify() == ("dihedral_exp", 2)
-        assert parse_sequence_spec(EX3).classify() == ("other",)
-        assert parse_sequence_spec("B3").classify() == ("other",)
-        assert parse_sequence_spec("A(n) x B(n)").classify() == ("other",)
-
     def test_parse_rejects_garbage(self):
         for bad in ("Q5", "A", "A5 y B3", "I2(n", "A1^", "prod(I2(i), j=1..n)",
                     "prod(I2(i) i=1..n)", ""):
@@ -70,27 +59,6 @@ class TestSequenceSpecs:
             parse_sequence_spec("A(n)").descriptor(0)
         with pytest.raises(ValueError, match="n = 2"):
             parse_sequence_spec("D(n)").descriptor(2)
-
-
-class TestTrendVerdicts:
-    def test_short_series_is_inconclusive(self):
-        rep = trend_verdict([(n, 1.0 / n) for n in range(1, 6)])
-        assert rep.verdict == "inconclusive"
-        assert "need at least 6" in rep.rationale
-
-    def test_decay_growth_and_plateau(self):
-        zero = trend_verdict([(n, 1.0 / n) for n in range(1, 21)])
-        assert zero.verdict == "tends_to_zero"
-        assert zero.fitted_exponent < -0.9
-        inf = trend_verdict([(n, float(n * n)) for n in range(1, 21)])
-        assert inf.verdict == "tends_to_infinity"
-        assert abs(inf.fitted_exponent - 2.0) < 1e-9
-        flat = trend_verdict([(n, 3.0 + 0.001 * math.sin(n)) for n in range(1, 21)])
-        assert flat.verdict == "bounded"
-
-    def test_oscillation_is_inconclusive(self):
-        rep = trend_verdict([(n, 1.5 + 0.5 * (-1) ** n) for n in range(1, 21)])
-        assert rep.verdict == "inconclusive"
 
 
 class TestCltInv:
@@ -114,7 +82,6 @@ class TestCltInv:
         assert rep.ratio.verdict == "bounded"
         # the ratio stabilizes near sqrt(12)
         assert abs(rep.ratio.samples[-1][1] - math.sqrt(12)) < 0.1
-        assert abs(rep.ratio.fitted_exponent) < 0.05
 
     def test_exponential_dihedral_fails_clt(self):
         rep = clt_check_inv(EX4, range(1, 13))
@@ -159,74 +126,81 @@ class TestCltDes:
         assert rep.trend.verdict == "tends_to_infinity"
         assert rep.cond_rank_to_infinity
         assert not rep.cond_dihedral_divergence
-        assert rep.trend.fitted_exponent == pytest.approx(0.5, abs=0.1)
 
     def test_exponential_dihedral_is_bounded(self):
         rep = clt_check_des(EX4, range(1, 13))
         assert rep.clt_holds is False
         assert rep.trend.verdict == "bounded"
 
-    def test_condition_against_bounded_trend_is_inconclusive(self):
-        # the harmonic 1/m sum diverges, but next to E8^100 the variance
-        # barely moves over the range: no verdict, and no exception
+    def test_divergent_term_next_to_a_heavy_fixed_factor(self):
+        # the harmonic 1/m sum diverges, although next to E8^100 the
+        # variance barely moves over the range
         rep = clt_check_des("E8^100 x prod(I2(i), i=1..n)", range(2, 81))
-        assert rep.cond_dihedral_divergence
-        assert rep.clt_holds is None
-        assert rep.trend.verdict == "inconclusive"
-        assert "sufficient divergence condition" in rep.trend.rationale
+        assert rep.cond_dihedral_divergence is True
+        assert rep.cond_rank_to_infinity is False
+        assert rep.clt_holds is True
+        assert rep.trend.verdict == "tends_to_infinity"
+
+    def test_harmonic_product_next_to_a1_far_out(self):
+        # Var(des) = 1/4 + 3/4 + sum_{m=3..n} 1/m diverges, however slowly
+        # it moves between n = 30000 and n = 30099
+        rep = clt_check_des("prod(I2(i), i=1..n) x A1", range(30000, 30100))
+        assert rep.clt_holds is True
+        assert rep.trend.verdict == "tends_to_infinity"
+        assert rep.cond_dihedral_divergence is True
 
     def test_condition_implications_hold(self):
-        # detected sufficient conditions must cosign the published verdict
         cases = [("A(n)", range(1, 13)), (EX1, range(1, 13)),
                  (EX2, range(1, 101)), (EX3, range(20, 81)),
-                 (EX4, range(1, 13))]
+                 (EX4, range(1, 13)), ("prod(I2(n+i), i=1..n)", range(1, 13)),
+                 ("prod(I2(n+i), i=1..n) x A(n)", range(1, 13))]
         for text, rng in cases:
             rep = clt_check_des(text, rng)
-            if rep.cond_rank_to_infinity or rep.cond_dihedral_divergence:
-                assert rep.clt_holds is True
-            if rep.clt_holds is True:
-                assert rep.cond_rank_unbounded or rep.cond_dihedral_divergence
+            conditions = (rep.cond_rank_to_infinity, rep.cond_dihedral_divergence)
+            want = (True if True in conditions
+                    else None if None in conditions else False)
+            assert rep.clt_holds is want, text
 
 
-_CLASSICAL_INV = ("single {}(n) factor: d_n grows linearly while s_n^2 grows "
-                  "cubically, so d_n / s_n vanishes")
-_POLY_INV = ("product of dihedrals with polynomial parameter: each summand "
-             "contributes variance (m_i^2+2)/12 while d_n = max m_i, so "
-             "d_n / s_n vanishes")
-_CLASSICAL_DES = ("single growing classical factor: variance grows like "
-                  "rank/12, so s_n diverges")
-_NUMERIC = "numeric diagnostic over the range, not a proof"
-_SETTLED = "settled by closed forms"
+_POLY = ("by the per-factor closed forms, d_n grows like n^{} and s_n^2 like "
+         "n^{}, so d_n / s_n {}")
+_EXP = ("a product with exponential parameter dominates every other term, so "
+        "d_n / s_n stays bounded away from 0")
+_SHARE = "{}, so its share of the descent variance diverges"
+_BOUNDED = "every term's share of the descent variance stays bounded, so s_n does too"
+_N_INSIDE = "term 1 (I2 product): n inside its factor, power or lower bound; "
 
-# spec, range, then per statistic: symbolic sentence, verdict, the last
-# rationale clause (m_n / s_n's too for inv), clt_holds, and for des the
-# three conditions (rank to infinity, rank unbounded, dihedral divergence)
+# spec, range, then per statistic: the sentence behind the verdict, the
+# verdict, clt_holds, and for des the two conditions (rank to infinity,
+# dihedral divergence)
 VERDICT_CASES = [
     ("A(n)", range(2, 30),
-     (_CLASSICAL_INV.format("A"), "tends_to_zero", _SETTLED, "m_n is bounded", True),
-     (_CLASSICAL_DES, "tends_to_infinity", _SETTLED, True, (True, True, False))),
+     (_POLY.format(1, 3, "vanishes"), "tends_to_zero", True),
+     (_SHARE.format("term 1 (A): its rank or its power grows"),
+      "tends_to_infinity", True, (True, False))),
     ("D(n)", range(4, 30),
-     (_CLASSICAL_INV.format("D"), "tends_to_zero", _SETTLED, "m_n is bounded", True),
-     (_CLASSICAL_DES, "tends_to_infinity", _SETTLED, True, (True, True, False))),
+     (_POLY.format(1, 3, "vanishes"), "tends_to_zero", True),
+     (_SHARE.format("term 1 (D): its rank or its power grows"),
+      "tends_to_infinity", True, (True, False))),
     (EX1, range(1, 40),
-     (_POLY_INV, "tends_to_zero", _SETTLED, "same ratio", True),
-     ("dihedral parameter of degree 1: the 1/m sum diverges (harmonic or "
-      "slower decay), variance diverges", "tends_to_infinity", _SETTLED, True,
-      (False, True, True))),
+     (_POLY.format(1, 3, "vanishes"), "tends_to_zero", True),
+     (_SHARE.format("term 1 (I2 product): its power over its parameter decays "
+                    "no faster than 1/i"), "tends_to_infinity", True, (False, True))),
     (EX2, range(1, 40),
-     (_POLY_INV, "tends_to_zero", _SETTLED, "same ratio", True),
-     ("dihedral parameter of degree 2: the 1/m sum converges, variance stays "
-      "bounded", "bounded", _SETTLED, False, (False, False, False))),
+     (_POLY.format(2, 5, "vanishes"), "tends_to_zero", True),
+     (_BOUNDED, "bounded", False, (False, False))),
+    (EX3, range(2, 40),
+     (_POLY.format(1, 2, "stays bounded away from 0"), "bounded", False),
+     (_SHARE.format("term 1 (A): its rank or its power grows"),
+      "tends_to_infinity", True, (True, False))),
     (EX4, range(1, 25),
-     ("product of dihedrals with exponential parameter: the last factor's "
-      "degree stays comparable to the total standard deviation, so d_n / s_n "
-      "does not vanish", "bounded", _SETTLED, "same ratio", False),
-     ("exponential dihedral parameter: the 1/m sum converges geometrically, "
-      "variance stays bounded", "bounded", _SETTLED, False, (False, False, False))),
-    # not a recognized shape: the trends alone
+     (_EXP, "bounded", False),
+     (_BOUNDED, "bounded", False, (False, False))),
+    # n inside a product's factor: no rule decides the term
     ("prod(I2(n+i), i=1..n)", range(1, 31),
-     (None, "tends_to_zero", _NUMERIC, _NUMERIC, True),
-     (None, "bounded", "tail spread 0.15%", False, (False, False, False))),
+     (_N_INSIDE + "no exact rule decides d_n / s_n", "inconclusive", None),
+     (_N_INSIDE + "no exact rule decides it, and no term is known to diverge",
+      "inconclusive", None, (False, None))),
 ]
 
 
@@ -234,14 +208,52 @@ VERDICT_CASES = [
                          ids=[t for t, *_ in VERDICT_CASES])
 def test_verdicts_and_sentences_are_pinned(text, ns, inv, des):
     rep = clt_check_inv(text, ns)
-    assert (rep.symbolic, rep.ratio.verdict, rep.ratio.rationale.split("; ")[-1],
-            rep.m_ratio.rationale.split("; ")[-1], rep.clt_holds) == inv
-    assert rep.m_ratio.verdict == rep.ratio.verdict
+    assert (rep.ratio.rationale, rep.ratio.verdict, rep.clt_holds) == inv
+    assert rep.symbolic == (None if rep.clt_holds is None else inv[0])
+    assert (rep.m_ratio.verdict, rep.m_ratio.rationale) == (None, None)
     rep = clt_check_des(text, ns)
-    conditions = (rep.cond_rank_to_infinity, rep.cond_rank_unbounded,
-                  rep.cond_dihedral_divergence)
-    assert (rep.symbolic, rep.trend.verdict, rep.trend.rationale.split("; ")[-1],
-            rep.clt_holds, conditions) == des
+    conditions = (rep.cond_rank_to_infinity, rep.cond_dihedral_divergence)
+    assert (rep.trend.rationale, rep.trend.verdict, rep.clt_holds, conditions) == des
+    assert rep.symbolic == (None if rep.clt_holds is None else des[0])
+
+
+# spec, range, inv clt_holds, des clt_holds, and the (d_n, s_n^2) growth
+# exponents when the inv verdict compares them
+RULE_CASES = [
+    ("A1^(n)", range(1, 9), True, True, (0, 1)),
+    ("B3 x I2(7)", range(1, 9), False, False, (0, 0)),
+    ("I2(n^2)^(n^3)", range(1, 9), True, True, (2, 7)),
+    ("I2(n^2)^(n)", range(1, 9), True, False, (2, 5)),
+    ("prod(I2(i^2)^(i), i=1..n)", range(1, 9), True, True, (2, 6)),
+    ("prod(I2(i^3)^(i), i=1..n)", range(1, 9), True, False, (3, 8)),
+    ("prod(I2(i), i=1..n^2)", range(1, 9), True, True, (2, 6)),
+    ("prod(I2(3), i=1..n)", range(1, 9), True, True, (0, 1)),
+    ("prod(B(i+1)^2, i=1..n)", range(1, 9), True, True, (1, 4)),
+    ("prod(I2(2^i)^(i), i=1..n)", range(1, 9), True, False, None),
+    ("prod(A(2^i), i=1..n)", range(1, 6), True, True, None),
+    ("prod(I2(2^i), i=1..n) x A(n)", range(1, 9), False, True, None),
+    ("prod(I2(2^i), i=1..n) x prod(I2(3^i), i=1..n)", range(1, 9), None, False, None),
+    # eventually empty, fixed, and empty products are bounded
+    ("prod(I2(n+i), i=1..30-n) x A(n)", range(1, 9), True, True, (1, 3)),
+    ("prod(I2(i), i=1..5) x A1", range(1, 9), False, False, (0, 0)),
+    ("prod(I2(i)^0, i=1..n) x A1", range(1, 9), False, False, (0, 0)),
+    # undecided terms
+    ("I2(2^n)", range(1, 9), None, None, None),
+    ("A(30-n)", range(1, 9), None, None, None),
+    ("prod(E(i+5), i=1..n)", range(1, 4), None, None, None),
+    ("prod(I2(i), i=n..2*n)", range(1, 9), None, None, None),
+    ("prod(I2(i)^(n-i), i=1..n) x A(n)", range(1, 9), None, True, None),
+]
+
+
+@pytest.mark.parametrize("text, ns, inv, des, orders", RULE_CASES,
+                         ids=[t for t, *_ in RULE_CASES])
+def test_growth_rules(text, ns, inv, des, orders):
+    rep = clt_check_inv(text, ns)
+    assert rep.clt_holds is inv
+    if orders is not None:
+        assert f"grows like n^{orders[0]} and s_n^2 like n^{orders[1]}," in rep.symbolic
+    assert clt_check_des(text, ns).clt_holds is des
 
 
 SWEEP_CASES = [
@@ -258,6 +270,23 @@ SWEEP_CASES = [
     ("prod(I2(i), i=1..30-n) x A(n)", range(1, 31)),  # the range shrinks
     ("prod(I2(i)^(n-i), i=1..n)", range(2, 31)),      # the power depends on n
 ]
+
+
+# the acceptance-9 examples and a harmonic product next to A1
+_INVARIANCE_SPECS = sorted(
+    {text for text, *_ in VERDICT_CASES + SWEEP_CASES}
+    | {EX1, EX2, EX3, EX4, "A(n)", "B(n)", "D(n)", "prod(I2(i), i=1..n) x A1"})
+
+
+@pytest.mark.parametrize("text", _INVARIANCE_SPECS)
+def test_verdicts_do_not_depend_on_the_range(text):
+    def verdicts(ns):
+        inv, des = clt_check_inv(text, ns), clt_check_des(text, ns)
+        return (inv.clt_holds, inv.ratio.verdict, inv.symbolic, des.clt_holds,
+                des.trend.verdict, des.symbolic, des.cond_rank_to_infinity,
+                des.cond_dihedral_divergence)
+
+    assert verdicts(range(5, 25)) == verdicts(range(200, 240))
 
 
 def _oracle_rows(text, ns):

@@ -14,7 +14,6 @@ from coxstat.limits import (
     clt_check_inv,
     llt_sup_distance,
     parse_sequence_spec,
-    trend_verdict,
     triangular_array_diagnostics,
 )
 from coxstat.moments import moments_from_polynomial
@@ -36,7 +35,7 @@ _RECORDS = {
     "RootBag": lambda: negated_real_roots(ExactPolynomial((1, 2, 1))),
     "_Term": lambda: parse_sequence_spec("prod(I2(i), i=1..n)").terms[0],
     "SequenceSpec": lambda: parse_sequence_spec("prod(I2(i), i=1..n)"),
-    "TrendReport": lambda: trend_verdict([(n, 1.0 / n) for n in range(1, 9)]),
+    "TrendReport": lambda: clt_check_inv("A(n)", range(2, 9)).ratio,
     "MahonianCltReport": lambda: clt_check_inv("A(n)", range(2, 9)),
     "EulerianCltReport": lambda: clt_check_des("prod(I2(i), i=1..n)", range(2, 9)),
     "LindebergReport": lambda: triangular_array_diagnostics("A3", "inv", 0.5),
@@ -75,9 +74,9 @@ def test_reprs_are_pinned():
         "LltReport(distance=0.045388889808158916, degenerate=False)")
     assert repr(StatisticDataset("des")) == (
         "StatisticDataset(name='des', histograms={}, values={}, group=None)")
-    assert repr(trend_verdict([(1, 1.0)])) == (
-        "TrendReport(samples=((1, 1.0),), fitted_exponent=0.0, "
-        "verdict='inconclusive', rationale='only 1 samples; need at least 6')")
+    # rank 1 has no edge label: no m_n / s_n sample
+    assert repr(clt_check_inv("A(n)", [1]).m_ratio) == (
+        "TrendReport(samples=(), verdict=None, rationale=None)")
     assert repr(lagrange_guess([(n, n * n) for n in range(1, 8)])) == (
         "[RationalFormula(numerator=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
         "a=0, b=0, c=0)]")
