@@ -10,6 +10,7 @@ import oracles
 from coxstat.groups import degrees, descriptor, irreducible, m_max, parse_descriptor, rank
 from coxstat.limits import (
     SequenceSpec,
+    _growth,
     clt_check_des,
     clt_check_inv,
     llt_sup_distance,
@@ -48,6 +49,21 @@ class TestSequenceSpecs:
         assert parse_sequence_spec(EX3).dihedral_parameters(7) == [7]
         assert parse_sequence_spec("B(n)").dihedral_parameters(5) == []
 
+    def test_classification(self):
+        # each term's (dihedral, des diverges, degree order, variance
+        # order, exponential parameter and d^2 / variance vanishing)
+        def shapes(text):
+            return [tuple(g[:5]) for g in map(_growth, parse_sequence_spec(text).terms)]
+
+        assert shapes("A(n)") == [(False, True, 1, 3, None)]
+        assert shapes("D(n)") == [(False, True, 1, 3, None)]
+        assert shapes(EX1) == [(True, True, 1, 3, None)]
+        assert shapes(EX2) == [(True, False, 2, 5, None)]
+        assert shapes(EX4) == [(True, False, 0, 0, False)]
+        assert shapes(EX3) == [(False, True, 0, 1, None), (True, False, 1, 2, None)]
+        assert shapes("B3") == [(False, False, 0, 0, None)]
+        assert shapes("A(n) x B(n)") == [(False, True, 1, 3, None)] * 2
+
     def test_parse_rejects_garbage(self):
         for bad in ("Q5", "A", "A5 y B3", "I2(n", "A1^", "prod(I2(i), j=1..n)",
                     "prod(I2(i) i=1..n)", ""):
@@ -59,6 +75,30 @@ class TestSequenceSpecs:
             parse_sequence_spec("A(n)").descriptor(0)
         with pytest.raises(ValueError, match="n = 2"):
             parse_sequence_spec("D(n)").descriptor(2)
+
+
+class TestTrendVerdicts:
+    def test_decay_growth_and_plateau(self):
+        # the exact verdicts agree with what the sampled rows show
+        zero = clt_check_inv("A(n)", range(1, 21)).ratio
+        assert zero.verdict == "tends_to_zero"
+        assert all(b < a for (_, a), (_, b) in zip(zero.samples[1:], zero.samples[2:]))
+        inf = clt_check_des("A(n)", range(1, 21)).trend
+        assert inf.verdict == "tends_to_infinity"
+        assert all(a < b for (_, a), (_, b) in zip(inf.samples, inf.samples[1:]))
+        flat = clt_check_des(EX2, range(1, 21))
+        assert flat.trend.verdict == "bounded"
+        assert flat.partial_sums[-1][1] < math.pi ** 2 / 6
+
+    def test_oscillation_is_inconclusive(self):
+        # a variable exponent: the rows alternate, and no rule decides
+        for text in ("I2(4+(-1)^n)", "A1^(2+(-1)^n)"):
+            inv = clt_check_inv(text, range(1, 21))
+            des = clt_check_des(text, range(1, 21))
+            assert len({x for _, x in inv.ratio.samples}) == 2
+            assert (inv.clt_holds, inv.ratio.verdict) == (None, "inconclusive")
+            assert (des.clt_holds, des.trend.verdict) == (None, "inconclusive")
+            assert "a variable exponent" in des.trend.rationale
 
 
 class TestCltInv:
