@@ -98,39 +98,28 @@ def _cmd_moments(args, stream):
 
 
 def _clt_doc(args, report):
+    trend = report.ratio if args.stat == "inv" else report.trend
     doc = {
         "spec": report.spec_text,
         "statistic": args.stat,
         "clt_holds": report.clt_holds,
         "symbolic": report.symbolic,
         "rank_increasing": report.rank_increasing,
+        "verdict": trend.verdict,
+        "rationale": trend.rationale,
     }
-    if args.stat == "inv":
-        doc["verdict"] = report.ratio.verdict
-        doc["rationale"] = report.ratio.rationale
-        ratios = dict((n, v) for n, v in report.ratio.samples)
-        doc["per_n"] = [
-            {"n": n, "rank": r, "d_n": dn, "variance": _json_frac(var),
-             "ratio": ratios[n]}
-            for n, r, dn, var in report.per_n]
-    else:
-        doc["verdict"] = report.trend.verdict
-        doc["rationale"] = report.trend.rationale
+    if args.stat == "des":
         doc["conditions"] = {
             "rank_to_infinity": report.cond_rank_to_infinity,
             "dihedral_divergence": report.cond_dihedral_divergence,
         }
-        sigmas = dict((n, v) for n, v in report.trend.samples)
-        sums = dict(report.partial_sums)
-        doc["per_n"] = [
-            {"n": n, "rank": r, "variance": _json_frac(var),
-             "s_n": sigmas[n], "dihedral_inverse_sum": sums[n]}
-            for n, r, var in report.per_n]
+    doc["per_n"] = [{**row._asdict(), "variance": _json_frac(row.variance)}
+                    for row in report.per_n]
     return doc
 
 
 def _clt_table(doc, stream):
-    if "d_n" in (doc["per_n"][0] if doc["per_n"] else {}):
+    if doc["statistic"] == "inv":
         print(f"{'n':>6} {'rank':>6} {'d_n':>8} {'ratio':>12}", file=stream)
         for row in doc["per_n"]:
             print(f"{row['n']:>6} {row['rank']:>6} {row['d_n']:>8} "

@@ -17,7 +17,7 @@ listing the positions.
 
 iter_windows fixes the enumeration order that ``coxstat enumerate``
 prints.  window_tally, behind the brute-force histograms of ``coxstat
-verify``, visits the same windows in another order: for each set of
+verify`` and the built-in interplab datasets, visits the same windows in another order: for each set of
 negated values, the permutations of the signed values, counted by one
 Counter.update per set.  A histogram does not depend on the order.
 """

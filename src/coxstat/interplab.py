@@ -2,8 +2,8 @@
 exact moments and normalized cumulants, and guess closed-form rational
 formulas by exact Lagrange interpolation.
 
-Datasets hold, per symmetric-group size n, either the raw statistic
-values (one per element) or just the coefficient histogram.  Summaries
+Datasets hold, per symmetric-group size n, the coefficient histogram
+of the statistic; raw per-element values are tallied on ingest.  Summaries
 are exact through the variance; normalized cumulants print in the
 three-significant-figure table style used throughout the docs, so rows
 are string-comparable in tests.
@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import mul, sub
 from pathlib import Path
 
-from .elements import des_count, ides_count, inv_count, iter_windows
+from .elements import des_count, ides_count, inv_count, window_tally
 from .moments import moments_from_polynomial
 from .polynomials import ExactPolynomial
 from .tallies import _warn, write_atomically
@@ -62,24 +62,22 @@ FINDSTAT_URL = "https://www.findstat.org/StatisticsDatabase/{id}/ValuesExport/"
 # ---------------------------------------------------------------------------
 # datasets
 
-class StatisticDataset(namedtuple("StatisticDataset", "name histograms values group")):
+class StatisticDataset(namedtuple("StatisticDataset", "name histograms group")):
     """Per-size statistic data over symmetric groups.
 
-    histograms[n][k] counts elements of S_n with statistic value k;
-    values keeps the raw per-element lists when the source had them.
+    histograms[n][k] counts elements of S_n with statistic value k.
     group is the declared family symbol ("S") or None when undeclared.
-    Omitted dicts start empty, a fresh one per dataset.
+    Omitted histograms start empty, a fresh dict per dataset.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name, histograms=None, values=None, group=None):
+    def __new__(cls, name, histograms=None, group=None):
         histograms = {} if histograms is None else histograms
-        values = {} if values is None else values
         for n, hist in histograms.items():
             if any(c < 0 for c in hist):
                 raise ValueError(f"negative histogram entry at n = {n}")
-        return tuple.__new__(cls, (name, histograms, values, group))
+        return tuple.__new__(cls, (name, histograms, group))
 
     @property
     def sizes(self):
@@ -101,11 +99,16 @@ def _check_declared_order(group, n, count):
         )
 
 
+def _is_int(value):
+    # JSON true and false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _histogram_row(n, row):
     """JSON integers, or decimal strings for counts too wide for a double."""
     if isinstance(row, list):
         try:
-            return tuple(c if isinstance(c, int) else int(c, 10) for c in row)
+            return tuple(c if _is_int(c) else int(c, 10) for c in row)
         except (TypeError, ValueError):
             pass
     raise ValueError(f"histogram at n = {n} must be a list of integers")
@@ -128,24 +131,18 @@ def ingest(path, format):
     rows = doc.get(key_name)
     if not isinstance(rows, dict):
         raise ValueError(f'{path}: {format} needs a {key_name!r} object keyed by n')
-    if format == "values_json":
-        values = {}
-        for key, row in rows.items():
-            n = int(key)
-            if not (isinstance(row, list)
-                    and all(isinstance(v, int) and v >= 0 for v in row)):
-                raise ValueError(
-                    f"values at n = {n} must be a list of nonnegative integers")
-            _check_declared_order(group, n, len(row))
-            values[n] = tuple(row)
-        hists = {n: _tally(v) for n, v in values.items()}
-        return StatisticDataset(name, hists, values, group)
     hists = {}
     for key, row in rows.items():
         n = int(key)
-        hists[n] = _histogram_row(n, row)
-        _check_declared_order(group, n, sum(hists[n]))
-    return StatisticDataset(name, hists, {}, group)
+        if format == "histogram_json":
+            hists[n] = _histogram_row(n, row)
+            _check_declared_order(group, n, sum(hists[n]))
+            continue
+        if not (isinstance(row, list) and all(_is_int(v) and v >= 0 for v in row)):
+            raise ValueError(f"values at n = {n} must be a list of nonnegative integers")
+        _check_declared_order(group, n, len(row))
+        hists[n] = _tally(row)
+    return StatisticDataset(name, hists, group)
 
 
 _CSV_ROW = re.compile(r"\[(\d+(?:,\s*\d+)*)\]\s*;\s*(\d+)$")
@@ -172,11 +169,11 @@ def _parse_findstat_csv(name, lines):
         if sorted(window) != list(range(1, n + 1)):
             raise ValueError(f"line {lineno}: {window} is not a permutation")
         per_size.setdefault(n, []).append(int(m.group(2)))
-    values = {n: tuple(v) for n, v in sorted(per_size.items())}
-    for n, v in values.items():
-        _check_declared_order("S", n, len(v))
-    hists = {n: _tally(v) for n, v in values.items()}
-    return StatisticDataset(name, hists, values, "S")
+    hists = {}
+    for n, values in sorted(per_size.items()):
+        _check_declared_order("S", n, len(values))
+        hists[n] = _tally(values)
+    return StatisticDataset(name, hists, "S")
 
 
 def _fixed_points(window):
@@ -201,15 +198,12 @@ def builtin_dataset(statistic, sizes, keyed_by="size"):
         "des_plus_ides": lambda w, family: des_count(w, family) + ides_count(w, family),
         "fixed_points": lambda w, family: _fixed_points(w),
     }[statistic]
-    values = {}
+    hists = {}
     for n in sizes:
         if n < 2:
             raise ValueError("sizes must be at least 2")
-        key = n if keyed_by == "size" else n - 1
-        values[key] = tuple(statfn(w, "A") for w in iter_windows("A", n))
-    hists = {n: _tally(v) for n, v in values.items()}
-    return StatisticDataset(statistic, hists, values,
-                            "S" if keyed_by == "size" else None)
+        hists[n if keyed_by == "size" else n - 1] = window_tally("A", n, statfn)
+    return StatisticDataset(statistic, hists, "S" if keyed_by == "size" else None)
 
 
 # ---------------------------------------------------------------------------

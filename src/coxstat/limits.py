@@ -33,7 +33,9 @@ a product over i = const..hi(n) with parameter and power polynomial in
 i (or parameter c0^(alpha i + beta)), and an empty or eventually fixed
 product are decided; any other term, such as one with n inside a
 product's factor, is undecided, and a verdict that needs it is
-inconclusive with clt_holds None.  The rows are numeric diagnostics.
+inconclusive with clt_holds None.  The rows are numeric diagnostics:
+per_n holds one row per n (MahonianRow or EulerianRow); its fields are
+the JSON row keys.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ __all__ = [
     "SequenceSpec",
     "parse_sequence_spec",
     "TrendReport",
+    "MahonianRow",
+    "EulerianRow",
     "MahonianCltReport",
     "EulerianCltReport",
     "clt_check_inv",
@@ -365,22 +369,35 @@ def _parse_factor(p):
 # ---------------------------------------------------------------------------
 # CLT condition checks
 
-class TrendReport(namedtuple("TrendReport", [
-    "samples",          # ((n, value), ...): diagnostics, read by no verdict
-    "verdict",          # from the exact growth orders, or None
-    "rationale",        # the sentence behind the verdict, or None
-])):
+class TrendReport(namedtuple("TrendReport", "verdict rationale")):
+    """The verdict from the exact growth orders, and the sentence behind it."""
+
+    __slots__ = ()
+
+
+class MahonianRow(namedtuple("MahonianRow", "n rank d_n variance ratio")):
+    """One row of clt_check_inv: d_n the largest degree, variance the
+    Fraction s_n^2, ratio the float d_n / s_n.  The fields, in order, are
+    the keys of a `coxstat clt` JSON row."""
+
+    __slots__ = ()
+
+
+class EulerianRow(namedtuple("EulerianRow", "n rank variance s_n dihedral_inverse_sum")):
+    """One row of clt_check_des: variance the Fraction s_n^2, s_n a float,
+    and the float sum of 1/m over the raw I2 labels.  The fields, in
+    order, are the keys of a `coxstat clt` JSON row."""
+
     __slots__ = ()
 
 
 class MahonianCltReport(namedtuple("MahonianCltReport", [
     "spec_text",
     "ratio",            # TrendReport of d_n / s_n
-    "m_ratio",          # TrendReport of m_n / s_n, samples only
     "clt_holds",        # True, False or None
     "symbolic",         # str or None
     "rank_increasing",
-    "per_n",            # ((n, rank, d_n, variance), ...)
+    "per_n",            # (MahonianRow, ...)
 ])):
     __slots__ = ()
 
@@ -392,10 +409,8 @@ class EulerianCltReport(namedtuple("EulerianCltReport", [
     "symbolic",         # str or None
     "cond_rank_to_infinity",     # True, False or None, like clt_holds
     "cond_dihedral_divergence",  # likewise
-    "partial_sums",         # ((n, float), ...)
-    "nondihedral_ranks",    # ((n, int), ...)
     "rank_increasing",
-    "per_n",            # ((n, rank, variance), ...)
+    "per_n",            # (EulerianRow, ...)
 ])):
     __slots__ = ()
 
@@ -438,31 +453,25 @@ class _Aggregate:
     a row builds its Fractions once, from the totals.
     """
 
-    __slots__ = ("rank", "factors", "degree_squares", "twelfths", "edge_num",
-                 "edge_den", "inverse_num", "inverse_den", "nondihedral_rank",
-                 "max_degree", "max_edge")
+    __slots__ = ("rank", "degree_squares", "twelfths", "edge_num", "edge_den",
+                 "inverse_num", "inverse_den", "max_degree")
 
     def __init__(self):
-        self.rank = self.factors = self.degree_squares = 0
+        self.rank = self.degree_squares = 0
         self.twelfths = 0           # des variance = twelfths / 12 + edge sum
         self.edge_num, self.edge_den = 0, 1         # copies / m_max, rank >= 2
         self.inverse_num, self.inverse_den = 0, 1   # over raw I2 parameters
-        self.nondihedral_rank = 0
         self.max_degree = 0
-        self.max_edge = 0           # largest factor_m_max over rank >= 2 factors
 
     def add(self, other):
         self.rank += other.rank
-        self.factors += other.factors
         self.degree_squares += other.degree_squares
         self.twelfths += other.twelfths
         self.edge_num, self.edge_den = _add_ratio(
             self.edge_num, self.edge_den, other.edge_num, other.edge_den)
         self.inverse_num, self.inverse_den = _add_ratio(
             self.inverse_num, self.inverse_den, other.inverse_num, other.inverse_den)
-        self.nondihedral_rank += other.nondihedral_rank
         self.max_degree = max(self.max_degree, other.max_degree)
-        self.max_edge = max(self.max_edge, other.max_edge)
 
     def des_variance(self):
         """sum over factors of (rank - 2) / 12 + 1 / m_max, or 1/4 at rank 1."""
@@ -491,18 +500,14 @@ def _piece(term, env, n):
     f = labels[0]
     squares, out.max_degree = _degree_sums(f)
     out.rank = copies * f.rank
-    out.factors = copies
     out.degree_squares = copies * squares
     if f.rank == 1:
         out.twelfths = 3 * copies
     else:
         out.twelfths = copies * (f.rank - 2)
-        out.max_edge = factor_m_max(f)
-        out.edge_num, out.edge_den = copies, out.max_edge
+        out.edge_num, out.edge_den = copies, factor_m_max(f)
     if term.family == "I2":
         out.inverse_num, out.inverse_den = count, value
-    if f.family != "I2":
-        out.nondihedral_rank = copies * f.rank
     return out
 
 
@@ -705,35 +710,31 @@ def clt_check_inv(spec, n_range):
     d_n is the largest degree and s_n the standard deviation.  The
     verdict comes from each term's exact growth orders (_growth), never
     from the rows: clt_holds is True or False when every term is
-    decided, else None with verdict inconclusive.  The rows, with the
-    samples of d_n / s_n and of m_n / s_n (m_n the largest edge label),
-    are diagnostics, in increasing n whatever the order of n_range.
+    decided, else None with verdict inconclusive.  per_n holds one
+    MahonianRow per n, in increasing n whatever the order of n_range;
+    the rows are diagnostics.
+
+    >>> rep = clt_check_inv("A(n)", range(3, 5))
+    >>> rep.clt_holds, rep.ratio.verdict
+    (True, 'tends_to_zero')
+    >>> rep.per_n[0]  # doctest: +NORMALIZE_WHITESPACE
+    MahonianRow(n=3, rank=3, d_n=4, variance=Fraction(13, 6),
+                ratio=2.7174648819470297)
     """
     spec = _spec_of(spec)
-    ns = _range_list(n_range)
-    per_n = []
-    ratio_samples = []
-    m_samples = []
-    ranks = []
-    for n, agg in _sweep(spec, ns):
+    rows = []
+    for n, agg in _sweep(spec, _range_list(n_range)):
         var = Fraction(agg.degree_squares, 12)
-        s = math.sqrt(float(var))
-        ratio_samples.append((n, agg.max_degree / s))
-        if agg.rank >= 2:
-            # distinct factors commute: a cross-factor edge label 2
-            mm = max(agg.max_edge, 2 if agg.factors >= 2 else 0)
-            m_samples.append((n, mm / s))
-        ranks.append(agg.rank)
-        per_n.append((n, agg.rank, agg.max_degree, var))
+        rows.append(MahonianRow(n, agg.rank, agg.max_degree, var,
+                                agg.max_degree / math.sqrt(float(var))))
     holds, verdict, why = _inv_verdict(_named(spec))
     return MahonianCltReport(
         spec_text=spec.source_text,
-        ratio=TrendReport(tuple(ratio_samples), verdict, why),
-        m_ratio=TrendReport(tuple(m_samples), None, None),
+        ratio=TrendReport(verdict, why),
         clt_holds=holds,
         symbolic=None if holds is None else why,
-        rank_increasing=all(a < b for a, b in zip(ranks, ranks[1:])),
-        per_n=tuple(per_n),
+        rank_increasing=all(a.rank < b.rank for a, b in zip(rows, rows[1:])),
+        per_n=tuple(rows),
     )
 
 
@@ -744,35 +745,33 @@ def clt_check_des(spec, n_range):
     the variance diverges iff some term's share does.  The same rule
     over the non-I2 terms gives cond_rank_to_infinity, and over the I2
     terms (the sum of 1/m over raw edge labels) cond_dihedral_divergence.
-    The rows, with the partial sums of 1/m and the non-dihedral ranks,
+    per_n holds one EulerianRow per n, with that sum of 1/m; the rows
     are diagnostics.
+
+    >>> rep = clt_check_des("prod(I2(i), i=1..n)", range(3, 5))
+    >>> rep.clt_holds, rep.cond_dihedral_divergence
+    (True, True)
+    >>> rep.per_n[0]  # doctest: +NORMALIZE_WHITESPACE
+    EulerianRow(n=3, rank=5, variance=Fraction(13, 12), s_n=1.0408329997330663,
+                dihedral_inverse_sum=1.8333333333333333)
     """
     spec = _spec_of(spec)
-    ns = _range_list(n_range)
-    per_n = []
-    s_samples = []
-    sums = []
-    nd_ranks = []
-    for n, agg in _sweep(spec, ns):
+    rows = []
+    for n, agg in _sweep(spec, _range_list(n_range)):
         var = agg.des_variance()
-        s_samples.append((n, math.sqrt(float(var))))
-        sums.append((n, agg.inverse_m_sum()))
-        nd_ranks.append((n, agg.nondihedral_rank))
-        per_n.append((n, agg.rank, var))
+        rows.append(EulerianRow(n, agg.rank, var, math.sqrt(float(var)),
+                                agg.inverse_m_sum()))
     terms = _named(spec)
     holds, verdict, why = _des_verdict(terms)
-    ranks = [r for _, r, _ in per_n]
     return EulerianCltReport(
         spec_text=spec.source_text,
-        trend=TrendReport(tuple(s_samples), verdict, why),
+        trend=TrendReport(verdict, why),
         clt_holds=holds,
         symbolic=None if holds is None else why,
         cond_rank_to_infinity=_any(g.des for _, g in terms if not g.dihedral),
         cond_dihedral_divergence=_any(g.des for _, g in terms if g.dihedral),
-        partial_sums=tuple(sums),
-        nondihedral_ranks=tuple(nd_ranks),
-        rank_increasing=all(x < y for x, y in zip(ranks, ranks[1:])),
-        per_n=tuple(per_n),
+        rank_increasing=all(a.rank < b.rank for a, b in zip(rows, rows[1:])),
+        per_n=tuple(rows),
     )
 
 

@@ -41,13 +41,13 @@ rootsys.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
+from itertools import combinations
+from math import comb, prod
 from operator import itemgetter, mul
 
 import numpy as np
 
 from .groups import coxeter_edges, factor_m_max, group_order, irreducible_degrees
-from .polynomials import _poly_divmod_int
 from .tallies import cached_tally, read_tally_file, write_tally_file  # noqa: F401
 
 __all__ = [
@@ -99,24 +99,33 @@ class ElementRecord(namedtuple("ElementRecord",
 def cyclotomic_polynomial(N):
     """Coefficients of the N-th cyclotomic polynomial, constant term first.
 
-    Over the divisors d of N in increasing order, Phi_d is z^d - 1 divided
-    by the Phi_e already found for the proper divisors e of d; exact
-    integer arithmetic throughout.
+    The Moebius product Phi_N = prod over d | N of (z^d - 1)^mu(N/d),
+    over the d with N/d square-free: multiplying by z^d - 1 is one
+    shift-and-subtract, and dividing by z^d - 1 is one running
+    recurrence q[k] = q[k-d] - p[k].  The divisions come after all the
+    multiplications, so each is exact in integers; a nonzero remainder
+    raises ArithmeticError.
 
     >>> cyclotomic_polynomial(12)
     [1, 0, -1, 0, 1]
     """
     if N < 1:
         raise ValueError("N must be positive")
-    phis = {}
-    for d in range(1, N + 1):
-        if N % d == 0:
-            poly = [-1] + [0] * (d - 1) + [1]  # z^d - 1
-            for e, phi in phis.items():
-                if d % e == 0:
-                    poly = _poly_divmod_int(poly, phi)
-            phis[d] = poly
-    return phis[N]
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+    subsets = [c for k in range(len(primes) + 1) for c in combinations(primes, k)]
+    poly = [1]
+    for chosen in sorted(subsets, key=lambda c: len(c) % 2):  # mu(N/d) = 1 first
+        d = N // prod(chosen)
+        if len(chosen) % 2 == 0:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+            continue
+        q = []
+        for k in range(len(poly) - d):
+            q.append((q[k - d] if k >= d else 0) - poly[k])
+        if poly[len(q):] != ([0] * d + q)[len(q):]:
+            raise ArithmeticError(f"z^{d} - 1 does not divide the product for Phi_{N}")
+        poly = q
+    return poly
 
 
 def minimal_polynomial_2cos(N):

@@ -34,7 +34,7 @@ from .elements import (
     st_count,
     window_tally,
 )
-from .groups import degrees, group_order, m_max, parse_descriptor, rank
+from .groups import degrees, group_order, parse_descriptor, rank
 from .interplab import (
     StatisticDataset,
     builtin_dataset,
@@ -43,6 +43,8 @@ from .interplab import (
     summarize,
 )
 from .limits import (
+    EulerianRow,
+    MahonianRow,
     clt_check_des,
     clt_check_inv,
     llt_sup_distance,
@@ -324,19 +326,15 @@ _EXAMPLES = [
 def _descriptor_rows(text, ns):
     """clt_check_* rows by the reference route: one descriptor per n."""
     spec = parse_sequence_spec(text)
-    inv, m_ratio, des, sums, nd = [], [], [], [], []
+    inv, des = [], []
     for n in ns:
         d = spec.descriptor(n)
-        r = rank(d)
-        var = mahonian_moments(d)[1]
-        inv.append((n, r, max(degrees(d)), var))
-        if r >= 2:
-            m_ratio.append((n, m_max(d) / math.sqrt(float(var))))
-        des.append((n, r, eulerian_moments(d)[1]))
-        sums.append((n, float(sum(Fraction(1, m)
-                                  for m in spec.dihedral_parameters(n)))))
-        nd.append((n, sum(f.rank for f in d.factors if f.family != "I2")))
-    return (tuple(inv), tuple(m_ratio)), (tuple(des), tuple(sums), tuple(nd))
+        var, dn = mahonian_moments(d)[1], max(degrees(d))
+        inv.append(MahonianRow(n, rank(d), dn, var, dn / math.sqrt(float(var))))
+        dvar = eulerian_moments(d)[1]
+        des.append(EulerianRow(n, rank(d), dvar, math.sqrt(float(dvar)), float(
+            sum(Fraction(1, m) for m in spec.dihedral_parameters(n)))))
+    return tuple(inv), tuple(des)
 
 
 def _suite_limits(rng):
@@ -348,10 +346,10 @@ def _suite_limits(rng):
         want_inv, want_des = _descriptor_rows(text, ns)
         rep = clt_check_inv(text, ns)
         yield _eq(f"limits: {text} inversion rows match the descriptor route",
-                  (rep.per_n, rep.m_ratio.samples), want_inv)
+                  rep.per_n, want_inv)
         rep = clt_check_des(text, ns)
         yield _eq(f"limits: {text} descent rows match the descriptor route",
-                  (rep.per_n, rep.partial_sums, rep.nondihedral_ranks), want_des)
+                  rep.per_n, want_des)
     for text, want_inv, want_des in _EXAMPLES:
         got = clt_check_inv(text, range(10, 81)).clt_holds
         yield _eq(f"limits: inversions verdict for {text}", got, want_inv)

@@ -405,6 +405,20 @@ def _poly_quotient(num, den):
     return out
 
 
+def cyclotomic_polynomial(N):
+    """Phi_N, constant term first: over the divisors d of N in increasing
+    order, z^d - 1 divided by every Phi_e already found for e | d."""
+    phis = {}
+    for d in range(1, N + 1):
+        if N % d == 0:
+            poly = [-1] + [0] * (d - 1) + [1]
+            for e, phi in phis.items():
+                if d % e == 0:
+                    poly = _poly_quotient(poly, phi)
+            phis[d] = poly
+    return phis[N]
+
+
 def _taylor_shift(p):
     """p(x + 1) by repeated synthetic division by x - 1, one addition at a time."""
     p = list(p)
@@ -542,6 +556,46 @@ def read_realization_digests():
     return json.loads(REALIZATION_PATH.read_text())
 
 
+# Pinned `clt` stdout: the exact text, JSON key order and float digits
+# included, of inv and des, json and table, over five specs (a decided
+# classical family, a harmonic dihedral product, the thin product of
+# acceptance 9, a product of I2(1) and an undecided spec), written by
+# `python tests/oracles.py clt`.  Like the realization pins, it reads
+# the package itself.
+CLT_STDOUT_PATH = Path(__file__).with_name("data") / "clt_stdout.txt"
+CLT_COMMANDS = tuple(
+    ("clt", "--spec", spec, "--stat", stat, "--range", ns, "--emit", emit)
+    for spec, ns, emits in (
+        ("A(n)", "1..12", ("json", "table")),
+        ("prod(I2(i), i=1..n)", "1..12", ("table", "json")),
+        ("A1^(n-2) x I2(n)", "2..12", ("json", "table")),
+        ("prod(I2(1), i=1..n)", "1..7", ("table", "json")),
+        ("prod(I2(n+i), i=1..n)", "1..9", ("json", "table")))
+    for stat, emit in zip(("inv", "des"), emits))
+
+
+def clt_stdout():
+    """Each of CLT_COMMANDS as a "$ coxstat ..." line and its stdout."""
+    import contextlib
+    import io
+    import shlex
+
+    from coxstat.cli import main
+
+    parts = []
+    for argv in CLT_COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(argv)) == 0
+        parts.append(f"$ coxstat {shlex.join(argv)}\n{buf.getvalue()}")
+    return "".join(parts)
+
+
+def write_clt_stdout():
+    CLT_STDOUT_PATH.parent.mkdir(exist_ok=True)
+    CLT_STDOUT_PATH.write_text(clt_stdout(), encoding="utf-8")
+
+
 def classical_degrees(family, n):
     """Degrees of A_n, B_n or D_n, written out."""
     if family == "A":
@@ -582,7 +636,8 @@ WORKED_B = (((-1, -2), 4), ((-2, -1), 3))   # (window, type-B inv)
 
 
 if __name__ == "__main__":
-    # `python tests/oracles.py [root_bags] [realization]`; no name writes both
-    _WRITERS = {"root_bags": write_root_bags, "realization": write_realization_digests}
+    # `python tests/oracles.py [root_bags] [realization] [clt]`; no name writes all
+    _WRITERS = {"root_bags": write_root_bags, "realization": write_realization_digests,
+                "clt": write_clt_stdout}
     for _name in sys.argv[1:] or _WRITERS:
         _WRITERS[_name]()

@@ -14,7 +14,13 @@ import coxstat
 from coxstat import cli
 from coxstat.cli import main
 from coxstat.groups import parse_descriptor
-from coxstat.limits import clt_check_des, clt_check_inv, llt_sup_distance
+from coxstat.limits import (
+    EulerianRow,
+    MahonianRow,
+    clt_check_des,
+    clt_check_inv,
+    llt_sup_distance,
+)
 from coxstat.moments import moments_from_polynomial
 from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
 from coxstat import tallies
@@ -292,8 +298,18 @@ def test_clt_json_keys_are_pinned(capsys, stat, keys, row_keys):
     doc = json.loads(out)
     assert set(doc) == keys
     assert set(doc["per_n"][0]) == row_keys
+    # each row's keys, in order, are the fields of the report's row records
+    record = MahonianRow if stat == "inv" else EulerianRow
+    assert [list(row) for row in doc["per_n"]] == [list(record._fields)] * 3
     if stat == "des":
         assert set(doc["conditions"]) == {"rank_to_infinity", "dihedral_divergence"}
+
+
+def test_clt_stdout_is_pinned():
+    # the whole stdout of inv and des, json and table, over five specs:
+    # key order, float digits and the table layout
+    want = oracles.CLT_STDOUT_PATH.read_text(encoding="utf-8")
+    assert oracles.clt_stdout() == want
 
 
 def test_clt_undecided_spec_is_inconclusive(capsys):
@@ -432,7 +448,11 @@ def test_interp_too_few_points_reports_note(capsys, tmp_path):
     ("values_json", {"values": {"3": 5}}),
     ("histogram_json", {"histogram": {"3": None}}),
     ("histogram_json", {"histogram": {"3": [[1], 2]}}),
-], ids=["values not a list", "histogram null", "histogram nested list"])
+    # JSON true and false load as bool, an int subclass: not counts or values
+    ("histogram_json", {"histogram": {"3": [True, True]}}),
+    ("values_json", {"values": {"3": [True, False, True]}}),
+], ids=["values not a list", "histogram null", "histogram nested list",
+        "histogram booleans", "values booleans"])
 def test_interp_malformed_rows_exit_2(capsys, tmp_path, fmt, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from coxstat import groups, rootsys
+from coxstat import groups, limits, rootsys
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("module", [groups, rootsys], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [groups, limits, rootsys], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from coxstat.groups import degrees, descriptor, irreducible, m_max, parse_descriptor, rank
+from coxstat.groups import degrees, descriptor, irreducible, parse_descriptor, rank
 from coxstat.limits import (
+    EulerianRow,
+    MahonianRow,
     SequenceSpec,
     _growth,
     clt_check_des,
@@ -80,22 +82,24 @@ class TestSequenceSpecs:
 class TestTrendVerdicts:
     def test_decay_growth_and_plateau(self):
         # the exact verdicts agree with what the sampled rows show
-        zero = clt_check_inv("A(n)", range(1, 21)).ratio
-        assert zero.verdict == "tends_to_zero"
-        assert all(b < a for (_, a), (_, b) in zip(zero.samples[1:], zero.samples[2:]))
-        inf = clt_check_des("A(n)", range(1, 21)).trend
-        assert inf.verdict == "tends_to_infinity"
-        assert all(a < b for (_, a), (_, b) in zip(inf.samples, inf.samples[1:]))
+        zero = clt_check_inv("A(n)", range(1, 21))
+        assert zero.ratio.verdict == "tends_to_zero"
+        ratios = [row.ratio for row in zero.per_n]
+        assert all(b < a for a, b in zip(ratios[1:], ratios[2:]))
+        inf = clt_check_des("A(n)", range(1, 21))
+        assert inf.trend.verdict == "tends_to_infinity"
+        sigmas = [row.s_n for row in inf.per_n]
+        assert all(a < b for a, b in zip(sigmas, sigmas[1:]))
         flat = clt_check_des(EX2, range(1, 21))
         assert flat.trend.verdict == "bounded"
-        assert flat.partial_sums[-1][1] < math.pi ** 2 / 6
+        assert flat.per_n[-1].dihedral_inverse_sum < math.pi ** 2 / 6
 
     def test_oscillation_is_inconclusive(self):
         # a variable exponent: the rows alternate, and no rule decides
         for text in ("I2(4+(-1)^n)", "A1^(2+(-1)^n)"):
             inv = clt_check_inv(text, range(1, 21))
             des = clt_check_des(text, range(1, 21))
-            assert len({x for _, x in inv.ratio.samples}) == 2
+            assert len({row.ratio for row in inv.per_n}) == 2
             assert (inv.clt_holds, inv.ratio.verdict) == (None, "inconclusive")
             assert (des.clt_holds, des.trend.verdict) == (None, "inconclusive")
             assert "a variable exponent" in des.trend.rationale
@@ -121,7 +125,7 @@ class TestCltInv:
         assert rep.clt_holds is False
         assert rep.ratio.verdict == "bounded"
         # the ratio stabilizes near sqrt(12)
-        assert abs(rep.ratio.samples[-1][1] - math.sqrt(12)) < 0.1
+        assert abs(rep.per_n[-1].ratio - math.sqrt(12)) < 0.1
 
     def test_exponential_dihedral_fails_clt(self):
         rep = clt_check_inv(EX4, range(1, 13))
@@ -130,11 +134,11 @@ class TestCltInv:
 
     def test_per_n_values_are_exact(self):
         rep = clt_check_inv(EX1, range(1, 13))
-        for n, r, dn, var in rep.per_n:
-            d = parse_sequence_spec(EX1).descriptor(n)
-            assert r == rank(d)
-            assert dn == max(n, 2)
-            assert var == mahonian_moments(d)[1]
+        for row in rep.per_n:
+            d = parse_sequence_spec(EX1).descriptor(row.n)
+            assert row.rank == rank(d)
+            assert row.d_n == max(row.n, 2)
+            assert row.variance == mahonian_moments(d)[1]
 
 
 class TestCltDes:
@@ -157,8 +161,9 @@ class TestCltDes:
         assert rep.trend.verdict == "bounded"
         assert not rep.cond_dihedral_divergence
         # partial sums of 1/m approach pi^2/6 and have visibly flattened
-        assert abs(rep.partial_sums[-1][1] - 1.63498) < 1e-4
-        assert abs(rep.partial_sums[-1][1] - math.pi ** 2 / 6) < 1e-2
+        total = rep.per_n[-1].dihedral_inverse_sum
+        assert abs(total - 1.63498) < 1e-4
+        assert abs(total - math.pi ** 2 / 6) < 1e-2
 
     def test_thin_product_diverges_via_rank(self):
         rep = clt_check_des(EX3, range(20, 81))
@@ -250,7 +255,6 @@ def test_verdicts_and_sentences_are_pinned(text, ns, inv, des):
     rep = clt_check_inv(text, ns)
     assert (rep.ratio.rationale, rep.ratio.verdict, rep.clt_holds) == inv
     assert rep.symbolic == (None if rep.clt_holds is None else inv[0])
-    assert (rep.m_ratio.verdict, rep.m_ratio.rationale) == (None, None)
     rep = clt_check_des(text, ns)
     conditions = (rep.cond_rank_to_infinity, rep.cond_dihedral_divergence)
     assert (rep.trend.rationale, rep.trend.verdict, rep.clt_holds, conditions) == des
@@ -332,39 +336,29 @@ def test_verdicts_do_not_depend_on_the_range(text):
 def _oracle_rows(text, ns):
     """Both checks' rows, built the slow way from each descriptor."""
     spec = parse_sequence_spec(text)
-    inv, ratio, m_ratio, des, s_des, sums, nd = [], [], [], [], [], [], []
+    inv, des = [], []
     for n in ns:
         d = spec.descriptor(n)
         r = rank(d)
         dn = max(degrees(d))
         var = mahonian_moments(d)[1]
-        s = math.sqrt(float(var))
-        inv.append((n, r, dn, var))
-        ratio.append((n, dn / s))
-        if r >= 2:
-            m_ratio.append((n, m_max(d) / s))
+        inv.append(MahonianRow(n, r, dn, var, dn / math.sqrt(float(var))))
         dvar = eulerian_moments(d)[1]
-        des.append((n, r, dvar))
-        s_des.append((n, math.sqrt(float(dvar))))
-        sums.append((n, float(sum(Fraction(1, m)
-                                  for m in spec.dihedral_parameters(n)))))
-        nd.append((n, sum(f.rank for f in d.factors if f.family != "I2")))
-    return tuple(map(tuple, (inv, ratio, m_ratio, des, s_des, sums, nd)))
+        des.append(EulerianRow(n, r, dvar, math.sqrt(float(dvar)), float(
+            sum(Fraction(1, m) for m in spec.dihedral_parameters(n)))))
+    return tuple(inv), tuple(des)
 
 
 class TestSweepRows:
     @pytest.mark.parametrize("text, ns", SWEEP_CASES, ids=[t for t, _ in SWEEP_CASES])
     def test_rows_match_descriptor_route(self, text, ns):
-        inv, ratio, m_ratio, des, s_des, sums, nd = _oracle_rows(text, ns)
+        inv, des = _oracle_rows(text, ns)
         rep = clt_check_inv(text, ns)
         assert rep.per_n == inv
-        assert rep.ratio.samples == ratio
-        assert rep.m_ratio.samples == m_ratio
+        assert all(type(row) is MahonianRow for row in rep.per_n)
         rep = clt_check_des(text, ns)
         assert rep.per_n == des
-        assert rep.trend.samples == s_des
-        assert rep.partial_sums == sums
-        assert rep.nondihedral_ranks == nd
+        assert all(type(row) is EulerianRow for row in rep.per_n)
 
     def test_first_invalid_label_fails_at_the_same_n(self):
         for check in (clt_check_inv, clt_check_des):
@@ -497,32 +491,30 @@ def test_classical_sweep_rows_match_degrees_and_descent_rows(family):
     des = clt_check_des(f"{family}(n)", ns)
     rows = (oracles.descent_rows_d(60) if family == "D"
             else dict(enumerate(oracles.eulerian_rows(1 if family == "A" else 2, 60))))
-    ratios = dict(inv.ratio.samples)
-    sigmas = dict(des.trend.samples)
-    for (n, rank, d_n, var), (n2, rank2, des_var) in zip(inv.per_n, des.per_n):
+    for (n, rank, d_n, var, ratio), (n2, rank2, des_var, s_n, inverse_sum) in zip(
+            inv.per_n, des.per_n):
         degs = oracles.classical_degrees(family, n)
         want = Fraction(sum(v * v - 1 for v in degs), 12)
         assert (n, rank, d_n, var) == (n2, n, max(degs), want)
-        assert ratios[n] == max(degs) / math.sqrt(float(want))
+        assert ratio == max(degs) / math.sqrt(float(want))
         assert (rank2, des_var) == (n, oracles.variance_of_tally(rows[n]))
-        assert sigmas[n] == math.sqrt(float(des_var))
-    assert all(v == 0.0 for _, v in des.partial_sums)
-    assert des.nondihedral_ranks == tuple((n, n) for n in ns)
+        assert s_n == math.sqrt(float(des_var))
+        assert inverse_sum == 0.0
+    assert [row.n for row in des.per_n] == list(ns)
 
 
 def test_dihedral_sweep_rows_match_the_factors_written_out():
     ns = range(1, 90)
     inv = clt_check_inv(EX1, ns)
     des = clt_check_des(EX1, ns)
-    ratios = dict(inv.ratio.samples)
-    sums = dict(des.partial_sums)
-    for (n, rank, d_n, var), (_, rank2, des_var) in zip(inv.per_n, des.per_n):
+    for (n, rank, d_n, var, ratio), (_, rank2, des_var, _, inverse_sum) in zip(
+            inv.per_n, des.per_n):
         factors = oracles.dihedral_product(n)
         degs = [v for f, _ in factors for v in f]
         want = Fraction(sum(v * v - 1 for v in degs), 12)
         assert (rank, d_n, var) == (len(degs), max(degs), want)
-        assert ratios[n] == max(degs) / math.sqrt(float(want))
+        assert ratio == max(degs) / math.sqrt(float(want))
         assert rank2 == rank
         assert des_var == sum(oracles.variance_of_tally(t) for _, t in factors)
-        assert sums[n] == float(sum(Fraction(1, i) for i in range(1, n + 1)))
-    assert des.nondihedral_ranks == tuple((n, 1 if n == 1 else 3) for n in ns)
+        assert inverse_sum == float(sum(Fraction(1, i) for i in range(1, n + 1)))
+    assert [row.n for row in des.per_n] == list(ns)

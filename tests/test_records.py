@@ -36,6 +36,8 @@ _RECORDS = {
     "_Term": lambda: parse_sequence_spec("prod(I2(i), i=1..n)").terms[0],
     "SequenceSpec": lambda: parse_sequence_spec("prod(I2(i), i=1..n)"),
     "TrendReport": lambda: clt_check_inv("A(n)", range(2, 9)).ratio,
+    "MahonianRow": lambda: clt_check_inv("A(n)", range(2, 9)).per_n[0],
+    "EulerianRow": lambda: clt_check_des("A(n)", range(2, 9)).per_n[0],
     "MahonianCltReport": lambda: clt_check_inv("A(n)", range(2, 9)),
     "EulerianCltReport": lambda: clt_check_des("prod(I2(i), i=1..n)", range(2, 9)),
     "LindebergReport": lambda: triangular_array_diagnostics("A3", "inv", 0.5),
@@ -73,10 +75,13 @@ def test_reprs_are_pinned():
     assert repr(llt_sup_distance(ExactPolynomial((1, 2, 1)))) == (
         "LltReport(distance=0.045388889808158916, degenerate=False)")
     assert repr(StatisticDataset("des")) == (
-        "StatisticDataset(name='des', histograms={}, values={}, group=None)")
-    # rank 1 has no edge label: no m_n / s_n sample
-    assert repr(clt_check_inv("A(n)", [1]).m_ratio) == (
-        "TrendReport(samples=(), verdict=None, rationale=None)")
+        "StatisticDataset(name='des', histograms={}, group=None)")
+    rep = clt_check_inv("A(n)", [1])
+    assert repr(rep.per_n) == (
+        "(MahonianRow(n=1, rank=1, d_n=2, variance=Fraction(1, 4), ratio=4.0),)")
+    assert repr(rep.ratio) == (
+        "TrendReport(verdict='tends_to_zero', rationale='by the per-factor closed "
+        "forms, d_n grows like n^1 and s_n^2 like n^3, so d_n / s_n vanishes')")
     assert repr(lagrange_guess([(n, n * n) for n in range(1, 8)])) == (
         "[RationalFormula(numerator=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
         "a=0, b=0, c=0)]")
@@ -121,8 +126,8 @@ def test_unequal_values_give_unequal_records():
 
 def test_omitted_dataset_dicts_are_fresh():
     a, b = StatisticDataset("x"), StatisticDataset("y")
-    assert a.histograms == {} and a.values == {}
-    assert a.histograms is not b.histograms and a.values is not b.values
+    assert a.histograms == {} and a.group is None
+    assert a.histograms is not b.histograms
 
 
 @pytest.mark.parametrize("make, message", [

@@ -47,6 +47,9 @@ def test_cyclotomic_polynomials():
     # degree is Euler phi
     for n, deg in [(5, 4), (7, 6), (9, 6), (20, 8)]:
         assert len(cyclotomic_polynomial(n)) - 1 == deg
+    # the Moebius product against the divisor-by-divisor division route
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == oracles.cyclotomic_polynomial(n), n
 
 
 def test_minimal_polynomial_of_two_cos():
