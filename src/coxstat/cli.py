@@ -210,12 +210,12 @@ def _cmd_enumerate(args, stream):
                   f"des={des_count(w, family)} ides={ides_count(w, family)}",
                   file=stream)
         return 0
-    from .rootsys import build_root_system, enumerate_inversion_sets
+    from .rootsys import DEFAULT_ENUM_CAP, _check_cap, build_root_system, enumerate_inversion_sets
 
+    if limit > DEFAULT_ENUM_CAP:
+        _check_cap(label)
     rs = build_root_system(label)
-    for count, rec in enumerate(enumerate_inversion_sets(rs)):
-        if count >= limit:
-            break
+    for rec in itertools.islice(enumerate_inversion_sets(rs), limit):
         print(f"inversions={rec.inversion_set:#x} length={rec.length} "
               f"des={rec.right_descents.bit_count()} "
               f"ides={rec.left_descents.bit_count()}", file=stream)

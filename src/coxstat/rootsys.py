@@ -23,9 +23,12 @@ i != s, and act_ws[s] = -act_w[s].
 The breadth-first walk over the right weak order generates each element
 exactly once, from its canonical parent u*s with s = min D_R(u), so no
 level is deduplicated and rows within a level come in generation order.
-Tallies and element_actions read those levels as they are; only
-enumerate_inversion_sets, which promises (length, inversion set) order,
-sorts each level, by its packed inversion bitsets.
+Each level is a list of row blocks of about _TALLY_BLOCK rows, and the
+walk drops each block of a level as soon as its children are built, so
+about one level is alive at a time.  Tallies and element_actions read
+the blocks one at a time, as they are; only enumerate_inversion_sets,
+which promises (length, inversion set) order, joins each level's packed
+inversion bitsets and sorts them.
 
 This is the walk module and the only one in the package that imports
 numpy.  The import stays at module level: a process that never walks
@@ -70,7 +73,7 @@ DEFAULT_ENUM_CAP = 5_000_000
 
 TALLY_STATISTICS = ("inv", "des", "des_plus_ides")
 
-_TALLY_BLOCK = 1 << 13  # rows per block of the left-descent scan
+_TALLY_BLOCK = 1 << 13  # rows per block of a walk level
 
 
 class RootSystem(namedtuple("RootSystem", "label rank positive_roots action")):
@@ -262,20 +265,30 @@ def _inversion_keys(acts):
     return np.ascontiguousarray(packed).view("<u8").reshape(nrows, words)
 
 
+def _check_cap(label):
+    """Refuse a group with more elements than DEFAULT_ENUM_CAP."""
+    order = group_order(label)
+    if order > DEFAULT_ENUM_CAP:
+        raise ValueError(
+            f"group order {order} of {label} exceeds enumeration cap {DEFAULT_ENUM_CAP}"
+        )
+
+
 def _bfs_levels(rs):
-    """Yield (length, acts) per level of the right weak order, each element once.
+    """Yield (length, blocks) per level of the right weak order, each element
+    once; blocks is a list of row blocks of about _TALLY_BLOCK rows.
 
     Canonical generation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
     ch. 3): every u != e has the one parent u*s with s = min D_R(u), so w
     is extended by s only when s is an ascent of w and no t < s is a right
     descent of w*s.  Since act_ws[t] = act_w[perm_s[t]], the second test
     reads act_w alone.  Rows within a level come in generation order.
+
+    A level is built only when the consumer asks for it, and building it
+    empties the list of the level before, so a consumer reads each list
+    before it asks for the next level.  Once DEFAULT_ENUM_CAP elements
+    have been yielded, the walk goes on only for a group within the cap.
     """
-    order = group_order(rs.label)
-    if order > DEFAULT_ENUM_CAP:
-        raise ValueError(
-            f"group order {order} of {rs.label} exceeds enumeration cap {DEFAULT_ENUM_CAP}"
-        )
     n = rs.rank
     N = rs.root_count
     dtype = np.int8 if N <= 126 else np.int16
@@ -286,70 +299,93 @@ def _bfs_levels(rs):
     # reads a narrow slice of each level.
     guards = [np.concatenate(([s], perms[s][:s])) for s in range(n)]
     head = 1 + max(int(cols.max()) for cols in guards)
-    acts = np.arange(1, N + 1, dtype=dtype).reshape(1, N)
+    level = [np.arange(1, N + 1, dtype=dtype).reshape(1, N)]
     length = 0
     total = 0
-    while len(acts):
-        total += len(acts)
-        yield length, acts
-        pos = acts[:, :head] > 0
-        # no chunk or row mask outlives the concatenation
-        chunks = []
-        for s in range(n):
-            sub = acts[pos[:, guards[s]].all(axis=1)].take(perms[s], axis=1)
-            sub[:, s] = -sub[:, s]
-            chunks.append(sub)
-        acts = np.concatenate(chunks, axis=0)
-        del chunks, sub
+    while level:
+        total += sum(map(len, level))
+        yield length, level
+        if total >= DEFAULT_ENUM_CAP:
+            _check_cap(rs.label)
+        level.reverse()
+        blocks, pending, rows = [], [], 0
+        while level:
+            acts = level.pop()
+            pos = acts[:, :head] > 0
+            for s in range(n):
+                sub = acts[pos[:, guards[s]].all(axis=1)].take(perms[s], axis=1)
+                sub[:, s] = -sub[:, s]
+                pending.append(sub)
+                rows += len(sub)
+                if rows >= _TALLY_BLOCK:
+                    blocks.append(np.concatenate(pending))
+                    pending, rows = [], 0
+        if rows:
+            blocks.append(np.concatenate(pending))
+        # neither the last block of the level before nor the pieces of the
+        # last new block live on through the consumer's pass
+        del acts, pos, sub, pending
+        level = blocks
         length += 1
+    order = group_order(rs.label)
     if total != order:
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
+
+
+def _left_descents(acts, n):
+    """Left-descent bitsets of a row block: bit j for an entry -(j+1)."""
+    left = np.zeros(len(acts), dtype=np.int64)
+    for j in range(n):
+        left |= (acts == -(j + 1)).any(axis=1).astype(np.int64) << j
+    return left
 
 
 def enumerate_inversion_sets(rs):
     """ElementRecords in (length, inversion set) order.
 
-    Each level is sorted by its packed inversion bitsets; lexsort's last
-    key is its primary one, so the rows of keys.T run from the lowest word
-    to the highest and the bitsets compare as integers.
+    Each level's packed inversion bitsets are joined across its blocks
+    and sorted; lexsort's last key is its primary one, so the rows of
+    keys.T run from the lowest word to the highest and the bitsets
+    compare as integers.  The walk is lazy by level: taking the first k
+    records builds no level past the one that holds record k.  On a group
+    above DEFAULT_ENUM_CAP, asking for a level past the one that holds
+    record DEFAULT_ENUM_CAP raises ValueError.
     """
     n = rs.rank
     simple_mask = (1 << n) - 1
-    for length, acts in _bfs_levels(rs):
-        keys = _inversion_keys(acts)
+    for length, blocks in _bfs_levels(rs):
+        keys = np.concatenate([_inversion_keys(acts) for acts in blocks])
+        left = np.concatenate([_left_descents(acts, n) for acts in blocks])
         by_set = np.lexsort(keys.T)
-        acts, keys = acts[by_set], keys[by_set]
-        left = np.zeros(len(acts), dtype=np.int64)
-        for j in range(n):
-            left |= (acts == -(j + 1)).any(axis=1).astype(np.int64) << j
-        for row, lefts in zip(keys, left.tolist()):
+        for row, lefts in zip(keys[by_set], left[by_set].tolist()):
             inv = int.from_bytes(row.tobytes(), "little")
             yield ElementRecord(inv, length, inv & simple_mask, lefts)
 
 
 def statistics_tally(rs, statistic):
-    """Exact histogram of inv, des, or des_plus_ides over the whole group."""
+    """Exact histogram of inv, des, or des_plus_ides over the whole group,
+    summed block by block; a group above DEFAULT_ENUM_CAP raises
+    ValueError before anything is walked."""
     if statistic not in TALLY_STATISTICS:
         raise ValueError(f"statistic must be one of {TALLY_STATISTICS}, got {statistic!r}")
+    _check_cap(rs.label)
     n = rs.rank
     N = rs.root_count
     if statistic == "inv":
         counts = [0] * (N + 1)
-        for length, acts in _bfs_levels(rs):
-            counts[length] = int(len(acts))
+        for length, blocks in _bfs_levels(rs):
+            counts[length] = sum(map(len, blocks))
         return tuple(counts)
     size = n + 1 if statistic == "des" else 2 * n + 1
     counts = np.zeros(size, dtype=np.int64)
-    for _, acts in _bfs_levels(rs):
-        # right descents: the negative entries among the n simple positions
-        vals = (acts[:, :n] < 0).sum(axis=1)
-        if statistic == "des_plus_ides":
-            # left descents: the entries -1..-n, anywhere in the row; row
-            # blocks keep the temporaries to a fixed size
-            for lo in range(0, len(acts), _TALLY_BLOCK):
-                block = acts[lo:lo + _TALLY_BLOCK]
-                vals[lo:lo + _TALLY_BLOCK] += ((block < 0) & (block >= -n)).sum(axis=1)
-        counts += np.bincount(vals, minlength=size)
+    for _, blocks in _bfs_levels(rs):
+        for acts in blocks:
+            # right descents: the negative entries among the n simple
+            # positions; left descents: the entries -1..-n, anywhere
+            vals = (acts[:, :n] < 0).sum(axis=1)
+            if statistic == "des_plus_ides":
+                vals += ((acts < 0) & (acts >= -n)).sum(axis=1)
+            counts += np.bincount(vals, minlength=size)
     return tuple(int(c) for c in counts)
 
 
@@ -371,6 +407,10 @@ def compose_actions(u, v):
 
 
 def element_actions(rs):
-    """All action vectors, level by level in generation order."""
-    for _, acts in _bfs_levels(rs):
-        yield from map(tuple, acts.tolist())
+    """All action vectors, level by level in generation order, read one row
+    block at a time; a group above DEFAULT_ENUM_CAP raises ValueError
+    before anything is walked."""
+    _check_cap(rs.label)
+    for _, blocks in _bfs_levels(rs):
+        for acts in blocks:
+            yield from map(tuple, acts.tolist())

@@ -536,6 +536,20 @@ def test_enumerate_negative_limit_is_usage_error(capsys, group):
     assert err.splitlines() == ["error: --limit must be nonnegative, got -1"]
 
 
+def test_enumerate_e8_prints_first_records_within_the_cap(capsys):
+    # enumerate walks only as far as its limit, so E8 lists its first
+    # elements; a limit above the cap is refused before anything is walked
+    rc, out, err = run(capsys, "enumerate", "--group", "E8", "--limit", "5")
+    assert rc == 0, err
+    assert out.splitlines() == ["inversions=0x0 length=0 des=0 ides=0"] + [
+        f"inversions={1 << s:#x} length=1 des=1 ides=1" for s in range(4)]
+    rc, out, err = run(capsys, "enumerate", "--group", "E8", "--limit", "5000001")
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: group order 696729600 of E8 exceeds enumeration cap 5000000"]
+
+
 def test_enumerate_rejects_products(capsys):
     rc, _, err = run(capsys, "enumerate", "--group", "A2 x A1", "--limit", "3")
     assert rc == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -151,15 +152,29 @@ def test_dihedral_closed_form_action():
 
 
 def test_rejects_overflowing_closure():
-    # E8 is larger than the enumeration cap: the error names its order and
-    # the cap before anything is walked
+    # E8 is larger than the enumeration cap: the whole-group walks name its
+    # order and the cap before anything is walked, while the lazy records
+    # start at once
     rs = build_root_system(irreducible("E", 8))
-    for walk in (lambda: next(enumerate_inversion_sets(rs)),
-                 lambda: statistics_tally(rs, "des"),
+    for walk in (lambda: statistics_tally(rs, "des"),
                  lambda: next(element_actions(rs))):
         with pytest.raises(ValueError,
                            match="696729600 of E8 exceeds enumeration cap 5000000"):
             walk()
+    assert next(enumerate_inversion_sets(rs)) == ElementRecord(0, 0, 0, 0)
+
+
+def test_records_stop_at_the_cap_on_a_larger_group(monkeypatch):
+    # past the cap the walk goes on only for a group within it
+    import coxstat.rootsys as rootsys
+
+    monkeypatch.setattr(rootsys, "DEFAULT_ENUM_CAP", 100)
+    rs = build_root_system(irreducible("E", 6))
+    records = enumerate_inversion_sets(rs)
+    # levels 0..4 of E6 hold 1 + 6 + 20 + 50 + 105 elements
+    assert len(list(itertools.islice(records, 182))) == 182
+    with pytest.raises(ValueError, match="51840 of E6 exceeds enumeration cap 100"):
+        next(records)
 
 
 def test_realization_matches_pinned_digests():
@@ -245,12 +260,89 @@ def test_two_sided_tallies_in_small_row_blocks(monkeypatch):
         assert list(statistics_tally(build_root_system(lab), "des_plus_ides")) == want
 
 
-def test_walk_inv_tallies_match_degree_product():
-    # every level size, not just the total, against the product of [d]_q
-    for text in ["A7", "B6", "D6", "H4"]:
-        d = parse_descriptor(text)
-        got = statistics_tally(build_root_system(d.factors[0]), "inv")
-        assert got == gf_inv(d).coefficients, text
+def test_walk_inv_tallies_match_degree_product(monkeypatch):
+    # every level size, not just the total, against the product of [d]_q,
+    # with levels of one block and of many
+    import coxstat.rootsys as rootsys
+
+    for block in [rootsys._TALLY_BLOCK, 64]:
+        monkeypatch.setattr(rootsys, "_TALLY_BLOCK", block)
+        for text in ["A7", "B6", "D6", "H4"]:
+            d = parse_descriptor(text)
+            got = statistics_tally(build_root_system(d.factors[0]), "inv")
+            assert got == gf_inv(d).coefficients, (text, block)
+
+
+@pytest.mark.parametrize("text", ["E6", "B6"])
+@pytest.mark.parametrize("statistic", ["des", "des_plus_ides"])
+def test_walk_keeps_about_one_level_alive(monkeypatch, text, statistic):
+    # each block of a level is dropped once its children are built, so the
+    # traced peak stays within two of the largest level
+    import tracemalloc
+
+    import coxstat.rootsys as rootsys
+
+    monkeypatch.setattr(rootsys, "_TALLY_BLOCK", 64)
+    d = parse_descriptor(text)
+    rs = build_root_system(d.factors[0])
+    level_bytes = max(gf_inv(d).coefficients) * rs.root_count  # int8 rows
+    tracemalloc.start()
+    try:
+        statistics_tally(rs, statistic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * level_bytes, (peak, level_bytes)
+
+
+def test_no_block_outlives_the_next_level(monkeypatch):
+    # with levels of one block and of many, no block of a level is alive
+    # once the walk has built the level after it
+    import weakref
+
+    import coxstat.rootsys as rootsys
+
+    rs = build_root_system(irreducible("E", 6))
+    for block in [rootsys._TALLY_BLOCK, 64]:
+        monkeypatch.setattr(rootsys, "_TALLY_BLOCK", block)
+        refs = []
+        for _, blocks in rootsys._bfs_levels(rs):
+            assert [ref for ref in refs if ref() is not None] == [], block
+            refs = [weakref.ref(acts) for acts in blocks]
+
+
+@pytest.mark.parametrize("text", ["H4", "E6"])
+def test_records_do_not_depend_on_the_block_size(monkeypatch, text):
+    # at 64 rows the larger levels span many blocks, which must not change
+    # the records or their order
+    import coxstat.rootsys as rootsys
+
+    rs = build_root_system(parse_descriptor(text).factors[0])
+    want = list(enumerate_inversion_sets(rs))
+    monkeypatch.setattr(rootsys, "_TALLY_BLOCK", 64)
+    assert list(enumerate_inversion_sets(rs)) == want
+
+
+def test_first_records_build_no_later_level(monkeypatch):
+    # taking k records walks no level past the one that holds record k
+    import coxstat.rootsys as rootsys
+
+    built = []
+    walk = rootsys._bfs_levels
+
+    def spy(rs):
+        for length, blocks in walk(rs):
+            built.append(length)
+            yield length, blocks
+
+    monkeypatch.setattr(rootsys, "_bfs_levels", spy)
+    monkeypatch.setattr(rootsys, "_TALLY_BLOCK", 64)
+    rs = build_root_system(irreducible("E", 7))
+    for k in [1, 2, 8, 9, 200, 1000]:
+        built.clear()
+        records = list(itertools.islice(enumerate_inversion_sets(rs), k))
+        assert len(records) == k
+        assert built == list(range(records[-1].length + 1)), k
 
 
 def test_walk_des_plus_ides_tallies_against_closed_forms():
