@@ -30,6 +30,12 @@ the blocks one at a time, as they are; only enumerate_inversion_sets,
 which promises (length, inversion set) order, joins each level's packed
 inversion bitsets and sorts them.
 
+Tallies walk only the levels through N // 2 and mirror the rest:
+w -> w*w0, with w0 the longest element, sends length l to N - l, des
+to n - des and ides to n - ides, since s is in D_R(w*w0) iff w0*s*w0
+is not in D_R(w), and s is in D_L(w*w0) iff s is not in D_L(w)
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.3).
+
 This is the walk module and the only one in the package that imports
 numpy.  The import stays at module level: a process that never walks
 never loads this module (the CLI and the tally cache import it on
@@ -44,7 +50,7 @@ rootsys.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, prod
 from operator import itemgetter, mul
 
@@ -363,30 +369,45 @@ def enumerate_inversion_sets(rs):
 
 
 def statistics_tally(rs, statistic):
-    """Exact histogram of inv, des, or des_plus_ides over the whole group,
-    summed block by block; a group above DEFAULT_ENUM_CAP raises
-    ValueError before anything is walked."""
+    """Exact histogram of inv, des, or des_plus_ides over the whole group;
+    a group above DEFAULT_ENUM_CAP raises ValueError before anything is
+    walked.
+
+    Only the levels through N // 2 are walked, block by block, and w ->
+    w*w0 mirrors the rest (module docstring): the histogram is low +
+    low[::-1] + mid, with mid the level N/2 of an even N.  The mirrored
+    total is checked against the group order.
+
+    >>> from coxstat.groups import irreducible
+    >>> statistics_tally(build_root_system(irreducible("A", 2)), "des_plus_ides")
+    (1, 0, 4, 0, 1)
+    """
     if statistic not in TALLY_STATISTICS:
         raise ValueError(f"statistic must be one of {TALLY_STATISTICS}, got {statistic!r}")
     _check_cap(rs.label)
     n = rs.rank
     N = rs.root_count
-    if statistic == "inv":
-        counts = [0] * (N + 1)
-        for length, blocks in _bfs_levels(rs):
-            counts[length] = sum(map(len, blocks))
-        return tuple(counts)
-    size = n + 1 if statistic == "des" else 2 * n + 1
-    counts = np.zeros(size, dtype=np.int64)
-    for _, blocks in _bfs_levels(rs):
+    size = {"inv": N + 1, "des": n + 1, "des_plus_ides": 2 * n + 1}[statistic]
+    low = np.zeros(size, dtype=np.int64)
+    mid = np.zeros(size, dtype=np.int64)
+    for length, blocks in islice(_bfs_levels(rs), N // 2 + 1):
+        part = mid if 2 * length == N else low
+        if statistic == "inv":
+            part[length] = sum(map(len, blocks))
+            continue
         for acts in blocks:
             # right descents: the negative entries among the n simple
             # positions; left descents: the entries -1..-n, anywhere
             vals = (acts[:, :n] < 0).sum(axis=1)
             if statistic == "des_plus_ides":
                 vals += ((acts < 0) & (acts >= -n)).sum(axis=1)
-            counts += np.bincount(vals, minlength=size)
-    return tuple(int(c) for c in counts)
+            part += np.bincount(vals, minlength=size)
+    counts = low + low[::-1] + mid
+    order = group_order(rs.label)
+    if counts.sum() != order:
+        raise RuntimeError(f"{rs.label}: mirrored tally counts {counts.sum()} elements, "
+                           f"expected {order}")
+    return tuple(counts.tolist())
 
 
 # ---------------------------------------------------------------------------

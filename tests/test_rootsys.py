@@ -355,6 +355,59 @@ def test_walk_des_plus_ides_tallies_against_closed_forms():
         assert (m1, m2 - m1 ** 2) == double_eulerian_moments(d), text
 
 
+_MIRROR_GROUPS = [irreducible("A", 3), irreducible("A", 4), irreducible("B", 3),
+                  irreducible("D", 4), irreducible("H", 3), irreducible("F", 4),
+                  irreducible("I2", 2, 7), irreducible("I2", 2, 8)]
+
+
+@pytest.mark.parametrize("lab", _MIRROR_GROUPS, ids=str)
+def test_mirrored_tallies_match_a_full_count(lab):
+    # the tallies walk half the levels; element_actions still walks them
+    # all.  N is odd for B3, H3 and I2(7), even for the rest
+    rs = build_root_system(lab)
+    n = rs.rank
+    want = {st: [0] * size for st, size in
+            [("inv", rs.root_count + 1), ("des", n + 1), ("des_plus_ides", 2 * n + 1)]}
+    for act in element_actions(rs):
+        des = sum(x < 0 for x in act[:n])
+        want["inv"][sum(x < 0 for x in act)] += 1
+        want["des"][des] += 1
+        want["des_plus_ides"][des + sum(-n <= x < 0 for x in act)] += 1
+    for statistic, counts in want.items():
+        assert statistics_tally(rs, statistic) == tuple(counts), statistic
+
+
+@pytest.mark.parametrize("text", ["E6", "H3"])
+def test_tallies_build_no_level_past_the_middle(monkeypatch, text):
+    # N = 36 for E6 and 15 for H3: both parities of the middle
+    import coxstat.rootsys as rootsys
+
+    built = []
+    walk = rootsys._bfs_levels
+
+    def spy(rs):
+        for length, blocks in walk(rs):
+            built.append(length)
+            yield length, blocks
+
+    monkeypatch.setattr(rootsys, "_bfs_levels", spy)
+    rs = build_root_system(parse_descriptor(text).factors[0])
+    for statistic in ["inv", "des", "des_plus_ides"]:
+        built.clear()
+        statistics_tally(rs, statistic)
+        assert built == list(range(rs.root_count // 2 + 1)), statistic
+
+
+def test_mirrored_tally_checks_the_group_order(monkeypatch):
+    import coxstat.rootsys as rootsys
+
+    rs = build_root_system(irreducible("B", 3))
+    monkeypatch.setattr(rootsys, "group_order", lambda label: group_order(label) + 1)
+    for statistic in ["inv", "des", "des_plus_ides"]:
+        with pytest.raises(RuntimeError, match="expected 49"):
+            statistics_tally(rs, statistic)
+
+
 def test_records_increase_past_64_roots():
     # inversion sets wider than one 64-bit word still sort as integers
     for m in [70, 130]:
