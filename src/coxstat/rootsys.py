@@ -22,13 +22,14 @@ i != s, and act_ws[s] = -act_w[s].
 
 The breadth-first walk over the right weak order generates each element
 exactly once, from its canonical parent u*s with s = min D_R(u), so no
-level is deduplicated and rows within a level come in generation order.
-Each level is a list of row blocks of about _TALLY_BLOCK rows, and the
-walk drops each block of a level as soon as its children are built, so
-about one level is alive at a time.  Tallies and element_actions read
-the blocks one at a time, as they are; only enumerate_inversion_sets,
-which promises (length, inversion set) order, joins each level's packed
-inversion bitsets and sorts them.
+level is deduplicated and elements come in generation order.  Each level
+is a list of column blocks: one row per positive root and one column per
+element, about _TALLY_BLOCK columns to a block, so extending by s copies
+N contiguous rows.  The walk drops each block of a level as soon as its
+children are built, so about one level is alive at a time.  Tallies and
+element_actions read the blocks one at a time, as they are; only
+enumerate_inversion_sets, which promises (length, inversion set) order,
+joins each level's packed inversion bitsets and sorts them.
 
 Tallies walk only the levels through N // 2 and mirror the rest:
 w -> w*w0, with w0 the longest element, sends length l to N - l, des
@@ -79,7 +80,7 @@ DEFAULT_ENUM_CAP = 5_000_000
 
 TALLY_STATISTICS = ("inv", "des", "des_plus_ides")
 
-_TALLY_BLOCK = 1 << 13  # rows per block of a walk level
+_TALLY_BLOCK = 1 << 13  # columns (elements) per block of a walk level
 
 
 class RootSystem(namedtuple("RootSystem", "label rank positive_roots action")):
@@ -261,14 +262,14 @@ def build_root_system(label):
 # breadth-first element walk
 
 def _inversion_keys(acts):
-    """Pack the sign pattern of each row into one or more uint64 words."""
+    """Pack the sign pattern of each column into one or more uint64 words."""
     neg = acts < 0
     nrows, ncols = neg.shape
-    words = (ncols + 63) // 64
-    padded = np.zeros((nrows, words * 64), dtype=bool)
-    padded[:, :ncols] = neg
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view("<u8").reshape(nrows, words)
+    words = (nrows + 63) // 64
+    padded = np.zeros((words * 64, ncols), dtype=bool)
+    padded[:nrows] = neg
+    packed = np.packbits(padded, axis=0, bitorder="little")
+    return np.ascontiguousarray(packed.T).view("<u8").reshape(ncols, words)
 
 
 def _check_cap(label):
@@ -282,13 +283,14 @@ def _check_cap(label):
 
 def _bfs_levels(rs):
     """Yield (length, blocks) per level of the right weak order, each element
-    once; blocks is a list of row blocks of about _TALLY_BLOCK rows.
+    once; blocks is a list of (N, k) column blocks, one row per positive
+    root and one column per element, with k about _TALLY_BLOCK.
 
     Canonical generation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
     ch. 3): every u != e has the one parent u*s with s = min D_R(u), so w
     is extended by s only when s is an ascent of w and no t < s is a right
     descent of w*s.  Since act_ws[t] = act_w[perm_s[t]], the second test
-    reads act_w alone.  Rows within a level come in generation order.
+    reads act_w alone.  Columns within a level come in generation order.
 
     A level is built only when the consumer asks for it, and building it
     empties the list of the level before, so a consumer reads each list
@@ -305,29 +307,29 @@ def _bfs_levels(rs):
     # reads a narrow slice of each level.
     guards = [np.concatenate(([s], perms[s][:s])) for s in range(n)]
     head = 1 + max(int(cols.max()) for cols in guards)
-    level = [np.arange(1, N + 1, dtype=dtype).reshape(1, N)]
+    level = [np.arange(1, N + 1, dtype=dtype).reshape(N, 1)]
     length = 0
     total = 0
     while level:
-        total += sum(map(len, level))
+        total += sum(acts.shape[1] for acts in level)
         yield length, level
         if total >= DEFAULT_ENUM_CAP:
             _check_cap(rs.label)
         level.reverse()
-        blocks, pending, rows = [], [], 0
+        blocks, pending, cols = [], [], 0
         while level:
             acts = level.pop()
-            pos = acts[:, :head] > 0
+            pos = acts[:head] > 0
             for s in range(n):
-                sub = acts[pos[:, guards[s]].all(axis=1)].take(perms[s], axis=1)
-                sub[:, s] = -sub[:, s]
+                sub = acts.compress(pos[guards[s]].all(axis=0), axis=1).take(perms[s], axis=0)
+                np.negative(sub[s], out=sub[s])
                 pending.append(sub)
-                rows += len(sub)
-                if rows >= _TALLY_BLOCK:
-                    blocks.append(np.concatenate(pending))
-                    pending, rows = [], 0
-        if rows:
-            blocks.append(np.concatenate(pending))
+                cols += sub.shape[1]
+                if cols >= _TALLY_BLOCK:
+                    blocks.append(np.concatenate(pending, axis=1))
+                    pending, cols = [], 0
+        if cols:
+            blocks.append(np.concatenate(pending, axis=1))
         # neither the last block of the level before nor the pieces of the
         # last new block live on through the consumer's pass
         del acts, pos, sub, pending
@@ -339,10 +341,10 @@ def _bfs_levels(rs):
 
 
 def _left_descents(acts, n):
-    """Left-descent bitsets of a row block: bit j for an entry -(j+1)."""
-    left = np.zeros(len(acts), dtype=np.int64)
+    """Left-descent bitsets of a column block: bit j for an entry -(j+1)."""
+    left = np.zeros(acts.shape[1], dtype=np.int64)
     for j in range(n):
-        left |= (acts == -(j + 1)).any(axis=1).astype(np.int64) << j
+        left |= (acts == -(j + 1)).any(axis=0).astype(np.int64) << j
     return left
 
 
@@ -373,7 +375,8 @@ def statistics_tally(rs, statistic):
     a group above DEFAULT_ENUM_CAP raises ValueError before anything is
     walked.
 
-    Only the levels through N // 2 are walked, block by block, and w ->
+    Only the levels through N // 2 are walked, one column block at a
+    time, each column counted by a reduction along its roots, and w ->
     w*w0 mirrors the rest (module docstring): the histogram is low +
     low[::-1] + mid, with mid the level N/2 of an even N.  The mirrored
     total is checked against the group order.
@@ -393,14 +396,15 @@ def statistics_tally(rs, statistic):
     for length, blocks in islice(_bfs_levels(rs), N // 2 + 1):
         part = mid if 2 * length == N else low
         if statistic == "inv":
-            part[length] = sum(map(len, blocks))
+            part[length] = sum(acts.shape[1] for acts in blocks)
             continue
         for acts in blocks:
             # right descents: the negative entries among the n simple
-            # positions; left descents: the entries -1..-n, anywhere
-            vals = (acts[:, :n] < 0).sum(axis=1)
+            # rows; left descents: the entries -1..-n anywhere, which are
+            # the top n values of the unsigned view
+            vals = (acts[:n] < 0).sum(axis=0)
             if statistic == "des_plus_ides":
-                vals += ((acts < 0) & (acts >= -n)).sum(axis=1)
+                vals += (acts.view(f"u{acts.itemsize}") >= 256 ** acts.itemsize - n).sum(axis=0)
             part += np.bincount(vals, minlength=size)
     counts = low + low[::-1] + mid
     order = group_order(rs.label)
@@ -428,10 +432,10 @@ def compose_actions(u, v):
 
 
 def element_actions(rs):
-    """All action vectors, level by level in generation order, read one row
-    block at a time; a group above DEFAULT_ENUM_CAP raises ValueError
+    """All action vectors, level by level in generation order, read one
+    column block at a time; a group above DEFAULT_ENUM_CAP raises ValueError
     before anything is walked."""
     _check_cap(rs.label)
     for _, blocks in _bfs_levels(rs):
         for acts in blocks:
-            yield from map(tuple, acts.tolist())
+            yield from map(tuple, acts.T.tolist())

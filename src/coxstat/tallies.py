@@ -18,7 +18,6 @@ import os
 import struct
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 from .groups import IrreducibleLabel, group_order, irreducible_degrees
 from .moments import double_eulerian_moments, eulerian_moments, mahonian_moments
@@ -33,7 +32,7 @@ _CACHE_ENV = "COXSTAT_CACHE"
 
 def _tally_path(dirp, label, statistic):
     safe = str(label).replace("(", "_").replace(")", "")
-    return dirp / f"{safe}.{statistic}.tally"
+    return os.path.join(dirp, f"{safe}.{statistic}.tally")
 
 
 def write_tally_file(path, counts):
@@ -58,20 +57,24 @@ def write_atomically(path, payload):
     suffix never sees it.  (tempfile.mkstemp does the same, but its
     name generator costs a fresh process about 0.3 ms on first use.)
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 
 def read_tally_file(path):
-    blob = path.read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     (count,) = struct.unpack_from("<I", blob, 0)
     off = 4
     out = []
@@ -129,10 +132,10 @@ def cached_tally(label, statistic):
     if hit is not None:
         return hit
     env = os.environ.get(_CACHE_ENV)
-    dirp = Path(env) / "tallies" if env else None
+    dirp = os.path.join(env, "tallies") if env else None
     if dirp is not None:
         path = _tally_path(dirp, label, statistic)
-        if path.exists():
+        if os.path.exists(path):
             try:
                 counts = read_tally_file(path)
             except (OSError, struct.error, ValueError) as exc:

@@ -513,37 +513,53 @@ def read_root_bags():
 
 
 # Pinned outputs of the reflection realization: sha256 digests of the
-# `enumerate --limit 3000` stdout and of repr(rs.action), written by
+# `enumerate --limit 3000` stdout, of repr(rs.action) and of
+# repr(list(element_actions(rs))), the walk's generation order, written by
 # `python tests/oracles.py realization` from a known-good version of the
 # package.  Unlike the rest of this module they read the package itself,
 # so a rewrite of the realization must reproduce them byte for byte.
 REALIZATION_PATH = Path(__file__).with_name("data") / "realization_digests.json"
 REALIZATION_ENUMERATE = ("H3", "H4", "F4", "E6", "I2(7)", "I2(40)")
 REALIZATION_ACTIONS = ("E7", "E8") + tuple(f"I2({m})" for m in range(3, 61))
+REALIZATION_WALKS = ("B3", "H3", "F4", "I2(7)")
+
+
+def _sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def actions_walk_digest(group):
+    """sha256 of repr(list(element_actions(rs))) for one group text."""
+    from coxstat.groups import parse_descriptor
+    from coxstat.rootsys import build_root_system, element_actions
+
+    rs = build_root_system(parse_descriptor(group).factors[0])
+    return _sha256(repr(list(element_actions(rs))))
 
 
 def realization_digests():
-    """{"enumerate <group>" | "action <group>": sha256 hex} for the pins."""
+    """{"enumerate <group>" | "action <group>" | "actions-walk <group>":
+    sha256 hex} for the pins."""
     import contextlib
-    import hashlib
     import io
 
     from coxstat.cli import main
     from coxstat.groups import parse_descriptor
     from coxstat.rootsys import build_root_system
 
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
-
     out = {}
     for group in REALIZATION_ENUMERATE:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(["enumerate", "--group", group, "--limit", "3000"]) == 0
-        out[f"enumerate {group}"] = digest(buf.getvalue())
+        out[f"enumerate {group}"] = _sha256(buf.getvalue())
     for group in REALIZATION_ACTIONS:
         rs = build_root_system(parse_descriptor(group).factors[0])
-        out[f"action {group}"] = digest(repr(rs.action))
+        out[f"action {group}"] = _sha256(repr(rs.action))
+    for group in REALIZATION_WALKS:
+        out[f"actions-walk {group}"] = actions_walk_digest(group)
     return out
 
 

@@ -186,6 +186,14 @@ def test_realization_matches_pinned_digests():
     assert [key for key in want if got[key] != want[key]] == []
 
 
+@pytest.mark.parametrize("group", oracles.REALIZATION_WALKS)
+def test_element_actions_order_matches_pinned_digests(group):
+    # the walk's generation order, element by element, as element_actions
+    # yields it; nothing else pins the order within a level
+    want = oracles.read_realization_digests()[f"actions-walk {group}"]
+    assert oracles.actions_walk_digest(group) == want
+
+
 # ---------------------------------------------------------------------------
 # element walk vs window oracles
 
@@ -406,6 +414,16 @@ def test_mirrored_tally_checks_the_group_order(monkeypatch):
     for statistic in ["inv", "des", "des_plus_ides"]:
         with pytest.raises(RuntimeError, match="expected 49"):
             statistics_tally(rs, statistic)
+
+
+@pytest.mark.parametrize("m", [127, 130])
+def test_tallies_in_two_byte_entries(m):
+    # N = m > 126 roots hold the action values in int16 entries; both
+    # parities of the middle level
+    rs = build_root_system(irreducible("I2", 2, m))
+    assert statistics_tally(rs, "inv") == (1,) + (2,) * (m - 1) + (1,)
+    assert statistics_tally(rs, "des") == (1, 2 * m - 2, 1)
+    assert statistics_tally(rs, "des_plus_ides") == (1, 0, 2 * m - 2, 0, 1)
 
 
 def test_records_increase_past_64_roots():
