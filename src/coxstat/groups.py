@@ -38,13 +38,13 @@ __all__ = [
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
 
-_E_DEGREES = {
-    6: (2, 5, 6, 8, 9, 12),
-    7: (2, 6, 8, 10, 12, 14, 18),
-    8: (2, 8, 12, 14, 18, 20, 24, 30),
+# The exceptional families: their valid ranks are the keys
+_EXCEPTIONAL_DEGREES = {
+    "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+          8: (2, 8, 12, 14, 18, 20, 24, 30)},
+    "F": {4: (2, 6, 8, 12)},
+    "H": {3: (2, 6, 10), 4: (2, 12, 20, 30)},
 }
-_F_DEGREES = {4: (2, 6, 8, 12)}
-_H_DEGREES = {3: (2, 6, 10), 4: (2, 12, 20, 30)}
 
 
 class IrreducibleLabel(namedtuple("IrreducibleLabel", "family rank m")):
@@ -71,15 +71,11 @@ class IrreducibleLabel(namedtuple("IrreducibleLabel", "family rank m")):
                 hint = {2: "A1^2", 3: "A3"}.get(n, "")
                 extra = f"; D{n} degenerates to {hint}" if hint else ""
                 raise ValueError(f"D{n} is not a valid label{extra}; rank must be >= 4")
-        elif f == "E":
-            if n not in (6, 7, 8):
-                raise ValueError(f"E{n} is not a valid label; rank must be 6, 7 or 8")
-        elif f == "F":
-            if n != 4:
-                raise ValueError(f"F{n} is not a valid label; rank must be 4")
-        elif f == "H":
-            if n not in (3, 4):
-                raise ValueError(f"H{n} is not a valid label; rank must be 3 or 4")
+        elif f in _EXCEPTIONAL_DEGREES:
+            if n not in _EXCEPTIONAL_DEGREES[f]:
+                *most, last = map(str, _EXCEPTIONAL_DEGREES[f])
+                ranks = f"{', '.join(most)} or {last}" if most else last
+                raise ValueError(f"{f}{n} is not a valid label; rank must be {ranks}")
         else:  # I2
             if n != 2:
                 raise ValueError("I2 labels have rank 2")
@@ -214,12 +210,8 @@ def irreducible_degrees(label):
         return tuple(2 * i for i in range(1, n + 1))
     if f == "D":
         return tuple(2 * i for i in range(1, n)) + (n,)
-    if f == "E":
-        return _E_DEGREES[n]
-    if f == "F":
-        return _F_DEGREES[n]
-    if f == "H":
-        return _H_DEGREES[n]
+    if f in _EXCEPTIONAL_DEGREES:
+        return _EXCEPTIONAL_DEGREES[f][n]
     return (2, label.m)
 
 

@@ -222,29 +222,18 @@ class SummaryRow(namedtuple("SummaryRow", [
 
 
 def format_sig3(x):
-    """Three significant figures in the table style: plain decimals in
-    the mid range, "123." for the hundreds, scientific outside."""
+    """Three significant figures in the table style: plain decimals for
+    exponents -4 through 5 ("123." from the hundreds up), scientific
+    outside."""
     x = float(x)
     if x == 0:
         return "0.000"
     mant, exp = f"{x:.2e}".split("e")
-    v = float(f"{mant}e{exp}")
-    a = abs(v)
-    if a >= 1e6 or a < 1e-4:
-        return f"{mant}e{int(exp)}"
-    if a >= 100:
-        return f"{v:.0f}."
-    if a >= 10:
-        return f"{v:.1f}"
-    if a >= 1:
-        return f"{v:.2f}"
-    if a >= 0.1:
-        return f"{v:.3f}"
-    if a >= 0.01:
-        return f"{v:.4f}"
-    if a >= 0.001:
-        return f"{v:.5f}"
-    return f"{v:.6f}"
+    e = int(exp)
+    if not -4 <= e < 6:
+        return f"{mant}e{e}"
+    places = max(0, 2 - e)
+    return f"{float(mant + 'e' + exp):.{places}f}" + ("" if places else ".")
 
 
 def summarize(ds, k_max=8):

@@ -5,16 +5,18 @@ A SequenceSpec describes a family n -> W^(n) in a small grammar:
 
     seq      := term ( "x" term )*
     term     := factor | "prod(" factor "," "i" "=" expr ".." expr ")"
-    factor   := FAMILY arg [ "^" power ]
+    factor   := FAMILY arg [ "^" arg ]       (the power; 1 when omitted)
     arg      := digits | "(" expr ")"        (I2 always parenthesized)
-    power    := digits | "(" expr ")"
     expr     := integer arithmetic over n, i with + - * ^ and parentheses
 
 Examples: "A(n)", "B(n)", "prod(I2(i), i=1..n)", "A1^(n-2) x I2(n)",
-"prod(I2(2^i), i=1..n)".  Inside a prod the variable i runs over the
-range; n is the outer index everywhere.  Labels are normalized at
-evaluation: I2(1) means A1 and I2(2) means A1 x A1, so specs may sweep
-a dihedral parameter from 1 without special-casing the degenerate start.
+"prod(I2(2^i), i=1..n)".  The text is lower-cased, stripped of
+whitespace and split into plain string tokens; a factor without a
+power gets the expression ("num", 1).  Inside a prod the variable i
+runs over the range; n is the outer index everywhere.  Labels are
+normalized at evaluation: I2(1) means A1 and I2(2) means A1 x A1, so
+specs may sweep a dihedral parameter from 1 without special-casing the
+degenerate start.
 
 Sweep rows never build the descriptor: each (term, i) contributes its
 rank, degree sums and variances from the per-factor closed forms, in a
@@ -23,7 +25,8 @@ one common denominator, and a row builds its Fractions once), and a
 prod term whose pieces do not depend on n keeps one running prefix sum
 across the sorted rows, so such a sweep is linear in the range rather
 than quadratic.  SequenceSpec.descriptor and dihedral_parameters stay
-the reference route for tests and verify.
+the reference route for tests and verify; both read one walk over the
+spec's factors, _factor_labels.
 
 The verdicts read neither the rows nor the requested range.  Each
 term gets its growth orders as n -> infinity from the per-factor
@@ -88,7 +91,7 @@ def _tokenize(text):
         m = _TOKEN_RE.match(compact, pos)
         if m is None:
             raise ValueError(f"parse error at position {pos}: {compact[pos:]!r}")
-        out.append((m.group(), pos))
+        out.append(m.group())
         pos = m.end()
     return out
 
@@ -100,14 +103,14 @@ class _Parser:
         self.k = 0
 
     def peek(self):
-        return self.tokens[self.k][0] if self.k < len(self.tokens) else None
+        return self.tokens[self.k] if self.k < len(self.tokens) else None
 
     def next(self):
-        if self.k >= len(self.tokens):
+        tok = self.peek()
+        if tok is None:
             raise ValueError(f"unexpected end of sequence spec {self.text!r}")
-        tok = self.tokens[self.k]
         self.k += 1
-        return tok[0]
+        return tok
 
     def expect(self, want):
         got = self.next()
@@ -151,6 +154,13 @@ class _Parser:
         if tok in ("n", "i"):
             return ("var", tok)
         raise ValueError(f"unexpected token {tok!r} in expression in {self.text!r}")
+
+    def parse_arg(self, error):
+        """digits | "(" expr ")", else ValueError(error)."""
+        tok = self.peek()
+        if tok != "(" and not (tok or "").isdigit():
+            raise ValueError(error)
+        return self.parse_atom()
 
 
 def _eval_expr(node, env):
@@ -233,20 +243,21 @@ def _poly(node, var):
 class _Term(namedtuple("_Term", [
     "family",       # "A".."I2"
     "param",        # expression AST for rank / edge label
-    "power",        # expression AST or None
+    "power",        # expression AST, _ONE when the spec gives none
     "prod_range",   # (lo AST, hi AST) when a prod(...) term, else None
 ])):
     __slots__ = ()
 
 
+_ONE = ("num", 1)
+
+
 def _term_labels(term, env, n):
     """(raw parameter, normalized labels, power) of one term at env."""
     value = _eval_expr(term.param, env)
-    count = 1
-    if term.power is not None:
-        count = _eval_expr(term.power, env)
-        if count < 0:
-            raise ValueError(f"negative power {count} at n = {n}")
+    count = _eval_expr(term.power, env)
+    if count < 0:
+        raise ValueError(f"negative power {count} at n = {n}")
     try:
         if term.family == "I2":
             if value == 1:
@@ -262,6 +273,18 @@ def _term_labels(term, env, n):
     return value, labels, count
 
 
+def _factor_labels(terms, n):
+    """_term_labels of each factor of terms at index n, term by term and
+    i by i over a prod's range."""
+    for term in terms:
+        envs = [{"n": n}]
+        if term.prod_range is not None:
+            lo, hi = (_eval_expr(e, {"n": n}) for e in term.prod_range)
+            envs = ({"n": n, "i": i} for i in range(lo, hi + 1))
+        for env in envs:
+            yield _term_labels(term, env, n)
+
+
 class SequenceSpec(namedtuple("SequenceSpec", "source_text terms")):
     __slots__ = ()
 
@@ -270,49 +293,23 @@ class SequenceSpec(namedtuple("SequenceSpec", "source_text terms")):
 
     def descriptor(self, n):
         """The group at index n, with I2(1) and I2(2) normalized away."""
-        factors = []
-        for term in self.terms:
-            if term.prod_range is None:
-                _, labels, count = _term_labels(term, {"n": n}, n)
-                factors.extend(labels * count)
-            else:
-                lo = _eval_expr(term.prod_range[0], {"n": n})
-                hi = _eval_expr(term.prod_range[1], {"n": n})
-                for i in range(lo, hi + 1):
-                    _, labels, count = _term_labels(term, {"n": n, "i": i}, n)
-                    factors.extend(labels * count)
-        return CoxeterDescriptor(tuple(factors))
+        return CoxeterDescriptor(tuple(
+            f for _, labels, count in _factor_labels(self.terms, n) for f in labels * count))
 
     def dihedral_parameters(self, n):
         """Raw I2 edge labels at index n, before normalization, with
         multiplicity; this is what divergence sums run over."""
-        out = []
-        for term in self.terms:
-            if term.family != "I2":
-                continue
-            envs = [{"n": n}]
-            if term.prod_range is not None:
-                lo = _eval_expr(term.prod_range[0], {"n": n})
-                hi = _eval_expr(term.prod_range[1], {"n": n})
-                envs = [{"n": n, "i": i} for i in range(lo, hi + 1)]
-            for env in envs:
-                value = _eval_expr(term.param, env)
-                if value < 1:
-                    raise ValueError(f"invalid label I2({value}) at n = {n}")
-                count = 1 if term.power is None else _eval_expr(term.power, env)
-                out.extend([value] * count)
-        return out
+        dihedral = (t for t in self.terms if t.family == "I2")
+        return [value for value, _, count in _factor_labels(dihedral, n)
+                for _ in range(count)]
 
 
 def parse_sequence_spec(text):
     p = _Parser(text)
-    terms = []
-    while True:
+    terms = [_parse_term(p)]
+    while p.peek() == "x":
+        p.next()
         terms.append(_parse_term(p))
-        if p.peek() == "x":
-            p.next()
-            continue
-        break
     if p.peek() is not None:
         raise ValueError(f"trailing input {p.peek()!r} in sequence spec {text!r}")
     return SequenceSpec(source_text=text, terms=tuple(terms))
@@ -343,26 +340,11 @@ def _parse_factor(p):
         family = tok.upper()
     else:
         raise ValueError(f"unknown family {tok!r} in sequence spec {p.text!r}")
-    nxt = p.peek()
-    if nxt == "(":
-        p.next()
-        param = p.parse_expr()
-        p.expect(")")
-    elif nxt is not None and nxt.isdigit():
-        param = ("num", int(p.next()))
-    else:
-        raise ValueError(f"family {family} needs a rank or parameter in {p.text!r}")
-    power = None
+    param = p.parse_arg(f"family {family} needs a rank or parameter in {p.text!r}")
+    power = _ONE
     if p.peek() == "^":
         p.next()
-        if p.peek() == "(":
-            p.next()
-            power = p.parse_expr()
-            p.expect(")")
-        elif p.peek() is not None and p.peek().isdigit():
-            power = ("num", int(p.next()))
-        else:
-            raise ValueError(f"bad power in sequence spec {p.text!r}")
+        power = p.parse_arg(f"bad power in sequence spec {p.text!r}")
     return _Term(family, param, power, None)
 
 
@@ -548,7 +530,7 @@ def _sweep(spec, ns):
     """
     shared = [t.prod_range is not None
               and not any("n" in _expr_vars(e)
-                          for e in (t.param, t.power or ("num", 1), t.prod_range[0]))
+                          for e in (t.param, t.power, t.prod_range[0]))
               for t in spec.terms]
     prefix = {}
     for n in ns:
@@ -591,7 +573,7 @@ def _label_ok(term, var, p):
     if p[0] >= 1:
         return p[1] > 0 and term.family in ("A", "B", "D", "I2")
     try:
-        _term_labels(term._replace(power=None), {var: 0}, 0)
+        _term_labels(term._replace(power=_ONE), {var: 0}, 0)
     except ValueError:
         return False
     return True
@@ -610,14 +592,13 @@ def _growth(term):
     is bounded; any other shape is undecided.
     """
     dihedral = term.family == "I2"
-    power = term.power or ("num", 1)
     bounded = _Growth(dihedral, False, 0, 0, None, "")
 
     def undecided(why):
         return _Growth(dihedral, None, 0, 0, None, why)
 
     var = "n" if term.prod_range is None else "i"
-    c, h = _poly(power, var), (1, 1)   # h: degree of hi; a stand-in for plain terms
+    c, h = _poly(term.power, var), (1, 1)   # h: degree of hi; a stand-in for plain terms
     if c == (0, 0):
         return bounded      # empty
     if term.prod_range is not None:
@@ -625,7 +606,7 @@ def _growth(term):
         h = _poly(hi, "n")
         if h is not None and h[0] >= 1 and h[1] < 0 and not _expr_vars(lo):
             return bounded  # eventually empty
-        if _expr_vars(lo) or "n" in _expr_vars(term.param) | _expr_vars(power):
+        if _expr_vars(lo) or "n" in _expr_vars(term.param) | _expr_vars(term.power):
             return undecided("n inside its factor, power or lower bound")
         if h is not None and h[0] == 0:
             return bounded  # the same factors for every n
@@ -795,15 +776,22 @@ def triangular_array_diagnostics(d, statistic, epsilon):
     the cut is an integer test per value, and each degree adds one
     Fraction) or des (Bernoulli success rates from the descent roots,
     floats)."""
+    if statistic not in ("inv", "des"):
+        raise ValueError("statistic must be inv or des")
     d = as_descriptor(d)
     if statistic == "inv":
         degs = degrees(d)
-        if not degs:
-            raise ValueError("trivial group has no summands")
         variances = tuple(Fraction(v * v - 1, 12) for v in degs)
         total = Fraction(sum(v * v - 1 for v in degs), 12)
-        if total == 0:
-            raise ValueError("zero variance; no normalization possible")
+    else:
+        ps = bernoulli_parameters(descent_root_bag(d))
+        variances = tuple(p * (1 - p) for p in ps)
+        total = sum(variances)
+    if not variances:
+        raise ValueError("trivial group has no summands")
+    if total <= 0:
+        raise ValueError("zero variance; no normalization possible")
+    if statistic == "inv":
         # (k - mu)^2 >= (eps s)^2 = num / den in integers: with
         # x = 2k - (v - 1) = 2 (k - mu), x^2 den >= 4 num
         num, den = (Fraction(epsilon) ** 2 * total).as_integer_ratio()
@@ -813,19 +801,7 @@ def triangular_array_diagnostics(d, statistic, epsilon):
             squares = sum(x * x for x in range(1 - v, v, 2) if x * x * den >= cut)
             if squares:
                 lind += Fraction(squares, 4 * v)
-        return LindebergReport(
-            statistic="inv", epsilon=float(epsilon),
-            summand_variances=variances, total_variance=total,
-            max_ratio=max(variances) / total, lindeberg_sum=lind / total,
-        )
-    if statistic == "des":
-        ps = bernoulli_parameters(descent_root_bag(d))
-        if not ps:
-            raise ValueError("trivial group has no summands")
-        variances = tuple(p * (1 - p) for p in ps)
-        total = sum(variances)
-        if total <= 0:
-            raise ValueError("zero variance; no normalization possible")
+    else:
         eps_s = float(epsilon) * math.sqrt(total)
         lind = 0.0
         for p in ps:
@@ -833,12 +809,11 @@ def triangular_array_diagnostics(d, statistic, epsilon):
                 lind += p * (1 - p) ** 2
             if p >= eps_s:
                 lind += (1 - p) * p ** 2
-        return LindebergReport(
-            statistic="des", epsilon=float(epsilon),
-            summand_variances=variances, total_variance=total,
-            max_ratio=max(variances) / total, lindeberg_sum=lind / total,
-        )
-    raise ValueError("statistic must be inv or des")
+    return LindebergReport(
+        statistic=statistic, epsilon=float(epsilon),
+        summand_variances=variances, total_variance=total,
+        max_ratio=max(variances) / total, lindeberg_sum=lind / total,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from operator import itemgetter, mul
 
 import numpy as np
 
-from .groups import coxeter_edges, factor_m_max, group_order, irreducible_degrees
+from .groups import coxeter_edges, factor_m_max, group_order, positive_root_count
 from .tallies import cached_tally, read_tally_file, write_tally_file  # noqa: F401
 
 __all__ = [
@@ -222,7 +222,7 @@ def build_root_system(label):
     reading off each reflection's action as the roots are found."""
     k, rows = _reflection_rows(label)
     n = label.rank
-    expected = sum(d - 1 for d in irreducible_degrees(label))
+    expected = positive_root_count(label)
     roots = [tuple(int(j == i * k) for j in range(n * k)) for i in range(n)]
     index = {root: i for i, root in enumerate(roots)}
     action = [[None] * expected for _ in range(n)]

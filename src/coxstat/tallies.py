@@ -19,7 +19,7 @@ import struct
 import warnings
 from fractions import Fraction
 
-from .groups import IrreducibleLabel, group_order, irreducible_degrees
+from .groups import IrreducibleLabel, group_order, positive_root_count
 from .moments import double_eulerian_moments, eulerian_moments, mahonian_moments
 
 __all__ = ["cached_tally", "read_tally_file", "write_tally_file"]
@@ -98,7 +98,7 @@ _CLOSED_MOMENTS = {
 def _tally_defect(label, statistic, counts):
     """Why counts cannot be the tally of statistic over label, or None."""
     degree = {
-        "inv": sum(d - 1 for d in irreducible_degrees(label)),
+        "inv": positive_root_count(label),
         "des": label.rank,
         "des_plus_ides": 2 * label.rank,
     }[statistic]

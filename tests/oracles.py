@@ -518,10 +518,14 @@ def read_root_bags():
 # `python tests/oracles.py realization` from a known-good version of the
 # package.  Unlike the rest of this module they read the package itself,
 # so a rewrite of the realization must reproduce them byte for byte.
+# The "actions-walk <group> block <k>" pins take the walk with
+# rootsys._TALLY_BLOCK set to k, so that a level spans several blocks
+# (F4's largest level has 94 elements) and the order across them shows.
 REALIZATION_PATH = Path(__file__).with_name("data") / "realization_digests.json"
 REALIZATION_ENUMERATE = ("H3", "H4", "F4", "E6", "I2(7)", "I2(40)")
 REALIZATION_ACTIONS = ("E7", "E8") + tuple(f"I2({m})" for m in range(3, 61))
 REALIZATION_WALKS = ("B3", "H3", "F4", "I2(7)")
+REALIZATION_BLOCK_WALKS = (("F4", 16),)
 
 
 def _sha256(text):
@@ -560,6 +564,14 @@ def realization_digests():
         out[f"action {group}"] = _sha256(repr(rs.action))
     for group in REALIZATION_WALKS:
         out[f"actions-walk {group}"] = actions_walk_digest(group)
+    import coxstat.rootsys as rootsys
+
+    for group, block in REALIZATION_BLOCK_WALKS:
+        saved, rootsys._TALLY_BLOCK = rootsys._TALLY_BLOCK, block
+        try:
+            out[f"actions-walk {group} block {block}"] = actions_walk_digest(group)
+        finally:
+            rootsys._TALLY_BLOCK = saved
     return out
 
 

@@ -185,6 +185,15 @@ class TestFormatting:
         assert format_sig3(0.00005) == "5.00e-5"
         assert format_sig3(1234.0) == "1230."
         assert format_sig3(99.96) == "100."
+        # rounding edges, where the carry can move the exponent
+        assert format_sig3(0.0009995) == "0.000999"
+        assert format_sig3(0.00099949) == "0.000999"
+        assert format_sig3(9.995) == "9.99"
+        assert format_sig3(99.95) == "100."
+        assert format_sig3(999949) == "1.00e6"
+        assert format_sig3(999950) == "1.00e6"
+        assert format_sig3(1e-4) == "0.000100"
+        assert format_sig3(9.999e-5) == "0.000100"
 
 
 class TestLagrangeGuess:

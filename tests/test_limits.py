@@ -50,6 +50,20 @@ class TestSequenceSpecs:
         assert spec.dihedral_parameters(3) == [1, 4, 9]
         assert parse_sequence_spec(EX3).dihedral_parameters(7) == [7]
         assert parse_sequence_spec("B(n)").dihedral_parameters(5) == []
+        # a powered product repeats each raw label power times
+        powered = parse_sequence_spec("prod(I2(i)^2, i=1..n)")
+        assert powered.dihedral_parameters(3) == [1, 1, 2, 2, 3, 3]
+        assert str(powered.descriptor(3)) == "A1^6 x I2(3)^2"
+        # only the I2 terms are read, so an invalid non-I2 term is no error
+        mixed = parse_sequence_spec("D(n) x I2(n+1)^(n-1)")
+        assert mixed.dihedral_parameters(2) == [3]
+        with pytest.raises(ValueError, match="invalid label at n = 2"):
+            mixed.descriptor(2)
+        # the I2 terms are checked as descriptor checks them
+        with pytest.raises(ValueError, match="negative power -1 at n = 0"):
+            mixed.dihedral_parameters(0)
+        with pytest.raises(ValueError, match="invalid label at n = 0"):
+            parse_sequence_spec("I2(n)").dihedral_parameters(0)
 
     def test_classification(self):
         # each term's (dihedral, des diverges, degree order, variance

@@ -137,6 +137,9 @@ def test_omitted_dataset_dicts_are_fresh():
      "I2(2) is not a valid label; it degenerates to A1 x A1"),
     (lambda: irreducible("D", 3),
      "D3 is not a valid label; D3 degenerates to A3; rank must be >= 4"),
+    (lambda: parse_descriptor("E5"), "E5 is not a valid label; rank must be 6, 7 or 8"),
+    (lambda: parse_descriptor("F3"), "F3 is not a valid label; rank must be 4"),
+    (lambda: irreducible("H", 5), "H5 is not a valid label; rank must be 3 or 4"),
     (lambda: irreducible("A", 2, 5),
      "parameter m is only meaningful for I2, got A"),
     (lambda: ExactPolynomial((1, -1)), "coefficients must be nonnegative"),

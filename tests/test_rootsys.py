@@ -194,6 +194,18 @@ def test_element_actions_order_matches_pinned_digests(group):
     assert oracles.actions_walk_digest(group) == want
 
 
+@pytest.mark.parametrize("group, block", oracles.REALIZATION_BLOCK_WALKS)
+def test_element_actions_order_across_blocks_matches_pinned_digests(
+        monkeypatch, group, block):
+    # with small blocks a level spans several, so this pins the order in
+    # which a level's blocks are extended as well as the order within one
+    import coxstat.rootsys as rootsys
+
+    monkeypatch.setattr(rootsys, "_TALLY_BLOCK", block)
+    want = oracles.read_realization_digests()[f"actions-walk {group} block {block}"]
+    assert oracles.actions_walk_digest(group) == want
+
+
 # ---------------------------------------------------------------------------
 # element walk vs window oracles
 
