@@ -225,7 +225,7 @@ def _cmd_enumerate(args, stream):
 def _cmd_verify(args, stream):
     from .verify import run_suite
 
-    failures = run_suite(args.suite, seed=args.seed, stream=stream)
+    failures = run_suite(args.suite, stream=stream)
     return 1 if failures else 0
 
 
@@ -278,7 +278,6 @@ def build_parser():
     # run_suite rejects an unknown name
     p.add_argument("--suite", required=True,
                    help="quick, full, or one part of full such as gf-des")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="list elements with statistics")

@@ -90,7 +90,9 @@ def _tokenize(text):
     while pos < len(compact):
         m = _TOKEN_RE.match(compact, pos)
         if m is None:
-            raise ValueError(f"parse error at position {pos}: {compact[pos:]!r}")
+            # quote text as typed: where each character of compact stands in it
+            at = [i for i, c in enumerate(text) if not c.isspace() for _ in c.lower()][pos]
+            raise ValueError(f"parse error at position {at}: {text[at:]!r}")
         out.append(m.group())
         pos = m.end()
     return out

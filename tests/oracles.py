@@ -602,26 +602,126 @@ CLT_COMMANDS = tuple(
     for stat, emit in zip(("inv", "des"), emits))
 
 
-def clt_stdout():
-    """Each of CLT_COMMANDS as a "$ coxstat ..." line and its stdout."""
+def cli_run(argv):
+    """(exit code, stdout, stderr) of `coxstat argv`, run in process."""
     import contextlib
     import io
-    import shlex
 
     from coxstat.cli import main
 
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def clt_stdout():
+    """Each of CLT_COMMANDS as a "$ coxstat ..." line and its stdout."""
+    import shlex
+
     parts = []
     for argv in CLT_COMMANDS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(list(argv)) == 0
-        parts.append(f"$ coxstat {shlex.join(argv)}\n{buf.getvalue()}")
+        rc, out, _ = cli_run(argv)
+        assert rc == 0
+        parts.append(f"$ coxstat {shlex.join(argv)}\n{out}")
     return "".join(parts)
 
 
 def write_clt_stdout():
     CLT_STDOUT_PATH.parent.mkdir(exist_ok=True)
     CLT_STDOUT_PATH.write_text(clt_stdout(), encoding="utf-8")
+
+
+# Pinned `verify` stdout, every line of the quick and full suites,
+# written by `python tests/oracles.py verify`.
+VERIFY_PINS = {suite: Path(__file__).with_name("data") / f"verify_{suite}.txt"
+               for suite in ("quick", "full")}
+
+
+def write_verify_pins():
+    for suite, path in VERIFY_PINS.items():
+        rc, out, _ = cli_run(["verify", "--suite", suite])
+        assert rc == 0, out
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(out, encoding="utf-8")
+
+
+# Pinned stdout of gf, moments, llt and interp: the sha256 of each
+# command's stdout, or "exit <code>: <stderr>" for a command that fails,
+# keyed by the command line and written by `python tests/oracles.py
+# stdout`.  des+ides runs only where its walk is cheap (groups of at
+# most 51840 elements); E8 des and A10 des+ides are refused by the
+# walk's cap.  The interp commands read histogram_json files built from
+# builtin_dataset in a directory of the caller's choosing, so the keys
+# name the files only.
+STDOUT_DIGESTS_PATH = Path(__file__).with_name("data") / "cli_stdout_digests.json"
+_STDOUT_GROUPS = (
+    [f"A{n}" for n in range(1, 10)] + ["A60"] + [f"B{n}" for n in range(2, 8)] + ["B60"]
+    + [f"D{n}" for n in range(4, 8)] + ["D60", "E6", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 13)]
+    + ["A2 x B3", "A1^4", "I2(5)^2 x A3", "H3 x D4"])
+_STDOUT_DES_IDES = [g for g in _STDOUT_GROUPS
+                    if g not in ("A8", "A9", "A60", "B7", "B60", "D7", "D60")]
+STDOUT_INTERP_FILES = {
+    # file name: (statistic, sizes, keyed_by) for builtin_dataset
+    "des_by_rank.json": ("des", range(2, 8), "rank"),
+    "inv_by_size.json": ("inv", range(2, 8), "size"),
+    "des_plus_ides.json": ("des_plus_ides", range(2, 7), "size"),
+    "fixed_points.json": ("fixed_points", range(2, 7), "size"),
+}
+STDOUT_COMMANDS = tuple(
+    argv
+    for stat, groups in (("inv", _STDOUT_GROUPS), ("des", _STDOUT_GROUPS),
+                         ("des+ides", _STDOUT_DES_IDES))
+    for group in groups
+    for argv in (("gf", "--group", group, "--stat", stat),
+                 *(("moments", "--group", group, "--stat", stat, "--k-max", k)
+                   for k in ("2", "6", "9")),
+                 ("llt", "--group", group, "--stat", stat))
+) + (
+    ("gf", "--group", "E8", "--stat", "des"),
+    ("gf", "--group", "A10", "--stat", "des+ides"),
+) + tuple(
+    ("interp", "--input", name, "--format", "histogram_json", "--target", target)
+    for name in STDOUT_INTERP_FILES for target in ("variance", "mean"))
+
+
+def stdout_digests(directory):
+    """{command line: digest} over STDOUT_COMMANDS, with the interp files
+    written to directory."""
+    import shlex
+
+    from coxstat.interplab import builtin_dataset
+
+    for name, (stat, sizes, keyed_by) in STDOUT_INTERP_FILES.items():
+        ds = builtin_dataset(stat, sizes=sizes, keyed_by=keyed_by)
+        doc = {"statistic": ds.name,
+               "histogram": {str(n): [str(c) for c in h] for n, h in ds.histograms.items()}}
+        (Path(directory) / name).write_text(json.dumps(doc), encoding="utf-8")
+    out = {}
+    for argv in STDOUT_COMMANDS:
+        key = shlex.join(argv)
+        try:
+            rc, stdout, stderr = cli_run(
+                str(Path(directory) / a) if a in STDOUT_INTERP_FILES else a for a in argv)
+        except Exception as exc:  # a crash is a change too, kept under its command
+            out[key] = f"raised {exc!r}"
+            continue
+        out[key] = _sha256(stdout) if rc == 0 else f"exit {rc}: {stderr.strip()}"
+    return out
+
+
+def write_stdout_digests():
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = stdout_digests(tmp)
+    STDOUT_DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    STDOUT_DIGESTS_PATH.write_text(json.dumps(digests, indent=1) + "\n")
+
+
+def read_stdout_digests():
+    return json.loads(STDOUT_DIGESTS_PATH.read_text())
 
 
 def classical_degrees(family, n):
@@ -664,8 +764,10 @@ WORKED_B = (((-1, -2), 4), ((-2, -1), 3))   # (window, type-B inv)
 
 
 if __name__ == "__main__":
-    # `python tests/oracles.py [root_bags] [realization] [clt]`; no name writes all
+    # `python tests/oracles.py [root_bags] [realization] [clt] [verify]
+    # [stdout]`; no name writes all
     _WRITERS = {"root_bags": write_root_bags, "realization": write_realization_digests,
-                "clt": write_clt_stdout}
+                "clt": write_clt_stdout, "verify": write_verify_pins,
+                "stdout": write_stdout_digests}
     for _name in sys.argv[1:] or _WRITERS:
         _WRITERS[_name]()

@@ -361,6 +361,22 @@ def test_clt_bad_spec_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    # the position and the rest of the spec as typed, spaces and case kept
+    ("A(n)  x  Q(n)", "parse error at position 9: 'Q(n)'"),
+    ("A(n+)", "unexpected token ')' in expression in 'A(n+)'"),
+    ("A(i)", "variable 'i' not available here"),
+    ("A(n^(0-1))", "negative exponents are not integers"),
+    ("A(n) B(n)", "trailing input 'b' in sequence spec 'A(n) B(n)'"),
+    ("N(n)", "unknown family 'n' in sequence spec 'N(n)'"),
+    ("prod(A(i), i=1..n-3)", "trivial group at n = 3"),
+])
+def test_clt_spec_errors_are_one_line(capsys, spec, message):
+    rc, out, err = run(capsys, "clt", "--spec", spec, "--stat", "inv",
+                       "--range", "3..5")
+    assert (rc, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
 # ---------------------------------------------------------------------------
 # llt
 
@@ -559,9 +575,8 @@ def test_enumerate_rejects_products(capsys):
 # ---------------------------------------------------------------------------
 # verify
 
-# the whole stdout of verify at seed 0 is pinned, so that no check can
-# be dropped or renamed unnoticed
-_VERIFY_DATA = Path(__file__).with_name("data")
+# the whole stdout of verify is pinned, so that no check can be dropped
+# or renamed unnoticed (regenerate with `python tests/oracles.py verify`)
 
 
 def test_verify_quick_passes(capsys):
@@ -570,7 +585,7 @@ def test_verify_quick_passes(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("ok - ") for line in lines[:-1])
     assert "checks passed" in lines[-1]
-    assert out == (_VERIFY_DATA / "verify_quick_seed0.txt").read_text(encoding="utf-8")
+    assert out == oracles.VERIFY_PINS["quick"].read_text(encoding="utf-8")
 
 
 def test_verify_full_suite_passes(capsys):
@@ -578,13 +593,24 @@ def test_verify_full_suite_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
-    assert out == (_VERIFY_DATA / "verify_full_seed0.txt").read_text(encoding="utf-8")
+    assert out == oracles.VERIFY_PINS["full"].read_text(encoding="utf-8")
 
 
-def test_verify_seed_does_not_change_outcome(capsys):
-    rc0, _, _ = run(capsys, "verify", "--suite", "moments", "--seed", "0")
-    rc1, _, _ = run(capsys, "verify", "--suite", "moments", "--seed", "123")
-    assert rc0 == 0 and rc1 == 0
+def test_verify_takes_no_seed(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "quick", "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert "--seed" in err
+
+
+# the cosets suite itself checks A2, A3 and B3
+@pytest.mark.parametrize("group", ["D4", "H3", "F4", "I2(7)"])
+def test_verify_orbit_total_matches_the_double_coset_sum(group):
+    from coxstat.moments import double_coset_sum
+    from coxstat.verify import _orbit_total
+
+    d = parse_descriptor(group)
+    assert _orbit_total(d.factors[0]) == double_coset_sum(d)
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -598,13 +624,26 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import coxstat.verify as verify
 
-    def broken(rng):
+    def broken():
         yield ("forced mismatch", False, "intentional")
 
     monkeypatch.setitem(verify.SUITES, "quick", broken)
     rc, out, _ = run(capsys, "verify", "--suite", "quick")
     assert rc == 1
     assert "FAIL - forced mismatch" in out
+
+
+# ---------------------------------------------------------------------------
+# pinned stdout of gf, moments, llt and interp over a fixed grid
+# (regenerate with `python tests/oracles.py stdout`)
+
+def test_cli_stdout_matches_the_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("COXSTAT_CACHE", raising=False)
+    want = oracles.read_stdout_digests()
+    got = oracles.stdout_digests(tmp_path)
+    assert list(got) == list(want)
+    changed = [command for command in want if got[command] != want[command]]
+    assert not changed, f"first changed: coxstat {changed[0]} ({len(changed)} in all)"
 
 
 # ---------------------------------------------------------------------------

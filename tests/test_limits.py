@@ -20,7 +20,13 @@ from coxstat.limits import (
     triangular_array_diagnostics,
 )
 from coxstat.moments import eulerian_moments, mahonian_moments
-from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
+from coxstat.polynomials import (
+    ExactPolynomial,
+    bernoulli_parameters,
+    descent_root_bag,
+    gf_des,
+    gf_inv,
+)
 
 EX1 = "prod(I2(i), i=1..n)"
 EX2 = "prod(I2(i^2), i=1..n)"
@@ -405,6 +411,23 @@ class TestLindeberg:
         # vanishing epsilon: every term counts, normalized sum is exactly 1
         assert triangular_array_diagnostics(
             d, "inv", Fraction(1, 10 ** 9)).lindeberg_sum == 1
+
+    def test_des_lindeberg_extremes(self):
+        d = irreducible("B", 5)
+        # vanishing epsilon: both values of every indicator count
+        rep = triangular_array_diagnostics(d, "des", 1e-9)
+        assert rep.lindeberg_sum == pytest.approx(1, abs=1e-12)
+        # a cut above every deviation: empty sum
+        assert triangular_array_diagnostics(d, "des", 5).lindeberg_sum == 0
+        # in between, only the deviations at or past the cut count
+        ps = bernoulli_parameters(descent_root_bag(d))
+        total = sum(p * (1 - p) for p in ps)
+        cut = 0.3 * math.sqrt(total)
+        want = sum((p * (1 - p) ** 2 if 1 - p >= cut else 0)
+                   + ((1 - p) * p ** 2 if p >= cut else 0) for p in ps)
+        assert 0 < want < total
+        rep = triangular_array_diagnostics(d, "des", 0.3)
+        assert rep.lindeberg_sum == want / total
 
     def test_inv_lindeberg_vanishes_along_growing_ranks(self):
         vals = [triangular_array_diagnostics(

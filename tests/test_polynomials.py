@@ -488,6 +488,52 @@ def test_repeated_roots_take_the_exact_gcd(monkeypatch):
     assert not calls
 
 
+_FALLBACK_GROUPS = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)] + [f"I2({m})" for m in range(3, 13)]
+    + ["E6", "F4", "H3", "H4"])
+
+
+def test_roots_bisect_when_the_polished_float_is_not_certified(monkeypatch):
+    # every Newton-polished guess fails its certificate, so each root is
+    # found by bisection of its isolating interval instead
+    import coxstat.polynomials as polynomials
+
+    monkeypatch.setattr(polynomials, "_brackets", lambda *args: False)
+    for text in _FALLBACK_GROUPS:
+        f = gf_des(text)
+        bag = negated_real_roots(f)
+        assert (bag.values, bag.residual_bound) == oracles.negated_roots(
+            list(f.coefficients)), text
+
+
+def test_roots_above_two_to_the_thousand_bisect_without_a_guess():
+    # the root -2**1001 lies past the float range of _estimate
+    f = P(2 ** 1001, 1)
+    bag = negated_real_roots(f)
+    assert bag.values == (2.0 ** 1001,)
+    assert (bag.values, bag.residual_bound) == oracles.negated_roots(list(f.coefficients))
+
+
+def test_a_leading_coefficient_divisible_by_the_prime_takes_the_exact_gcd(monkeypatch):
+    # (p x + 1)(x + 1) with p = 2**61 - 1: the gcd modulo p is refused
+    import coxstat.polynomials as polynomials
+
+    calls = []
+    exact = polynomials._gcd
+
+    def counted(a, b):
+        calls.append(len(a) - 1)
+        return exact(a, b)
+
+    monkeypatch.setattr(polynomials, "_gcd", counted)
+    p = 2 ** 61 - 1
+    f = P(1, p + 1, p)
+    bag = negated_real_roots(f)
+    assert calls == [2]
+    assert (bag.values, bag.residual_bound) == oracles.negated_roots(list(f.coefficients))
+
+
 def test_descent_root_bag_concatenates_factors():
     d = parse_descriptor("A1 x A2")
     bag = descent_root_bag(d)
