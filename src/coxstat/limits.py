@@ -84,24 +84,28 @@ _TOKEN_RE = re.compile(r"\d+|prod|[abdefhinx]|\.\.|[=^*+\-(),]")
 
 
 def _tokenize(text):
-    pos = 0
-    out = []
+    """The tokens of text with whitespace squeezed out and case folded,
+    and each token's spelling as typed, for error messages."""
+    # where each character of compact stands in text
+    where = [i for i, c in enumerate(text) if not c.isspace() for _ in c.lower()]
     compact = "".join(text.split()).lower()
+    pos = 0
+    tokens, typed = [], []
     while pos < len(compact):
         m = _TOKEN_RE.match(compact, pos)
         if m is None:
-            # quote text as typed: where each character of compact stands in it
-            at = [i for i, c in enumerate(text) if not c.isspace() for _ in c.lower()][pos]
+            at = where[pos]
             raise ValueError(f"parse error at position {at}: {text[at:]!r}")
-        out.append(m.group())
+        tokens.append(m.group())
+        typed.append(text[where[pos]:where[m.end() - 1] + 1])
         pos = m.end()
-    return out
+    return tokens, typed
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.typed = _tokenize(text)
         self.k = 0
 
     def peek(self):
@@ -117,7 +121,8 @@ class _Parser:
     def expect(self, want):
         got = self.next()
         if got != want:
-            raise ValueError(f"expected {want!r}, got {got!r} in {self.text!r}")
+            raise ValueError(
+                f"expected {want!r}, got {self.typed[self.k - 1]!r} in {self.text!r}")
 
     # expr := sum; sum := prod (("+"|"-") prod)*; prod := pow ("*" pow)*;
     # pow := atom ("^" pow)?; atom := int | n | i | "(" expr ")" | "-" atom
@@ -155,7 +160,8 @@ class _Parser:
             return ("num", int(tok))
         if tok in ("n", "i"):
             return ("var", tok)
-        raise ValueError(f"unexpected token {tok!r} in expression in {self.text!r}")
+        raise ValueError(
+            f"unexpected token {self.typed[self.k - 1]!r} in expression in {self.text!r}")
 
     def parse_arg(self, error):
         """digits | "(" expr ")", else ValueError(error)."""
@@ -313,7 +319,7 @@ def parse_sequence_spec(text):
         p.next()
         terms.append(_parse_term(p))
     if p.peek() is not None:
-        raise ValueError(f"trailing input {p.peek()!r} in sequence spec {text!r}")
+        raise ValueError(f"trailing input {p.typed[p.k]!r} in sequence spec {text!r}")
     return SequenceSpec(source_text=text, terms=tuple(terms))
 
 
@@ -341,7 +347,7 @@ def _parse_factor(p):
     elif tok in ("a", "b", "d", "e", "f", "h"):
         family = tok.upper()
     else:
-        raise ValueError(f"unknown family {tok!r} in sequence spec {p.text!r}")
+        raise ValueError(f"unknown family {p.typed[p.k - 1]!r} in sequence spec {p.text!r}")
     param = p.parse_arg(f"family {family} needs a rank or parameter in {p.text!r}")
     power = _ONE
     if p.peek() == "^":

@@ -12,7 +12,11 @@ relation through Worpitzky's identity (the gf-des suite of ``coxstat
 verify`` checks the rows against window enumeration on small ranks and
 against the closed-form moments at rank about 100); exceptional factors
 fall back to the reflection-walk tally, read through the cache in
-tallies.
+tallies.  gf_des_plus_ides builds the A, B and D rows from the two-sided
+Eulerian counts N(i, j) (antidiagonal sums, differenced, then mirrored)
+and writes the I2 row down; only its E, F and H factors walk.  Every
+des+ides factor still goes through the tally cache, which stores what
+the kernel or the walk computed.
 
 Root extraction for descent polynomials decides everything in integers.
 Square-freeness comes from a gcd modulo one prime, with the exact gcd
@@ -31,7 +35,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import gcd, inf, ldexp, nextafter
+from math import comb, gcd, inf, ldexp, nextafter
 from operator import sub
 
 from .groups import as_descriptor, irreducible_degrees
@@ -50,6 +54,7 @@ __all__ = [
     "negated_real_roots",
     "bernoulli_parameters",
     "descent_root_bag",
+    "TWO_SIDED_RANK_CAP",
 ]
 
 
@@ -215,16 +220,117 @@ def gf_des(d):
     return product(_gf_des_irreducible(f) for f in d.factors)
 
 
+# The largest rank whose des+ides row comes from the two-sided counts:
+# D100 takes about 0.1 s, and the cost grows about as rank^4.
+TWO_SIDED_RANK_CAP = 100
+
+
+def _two_sided_counts(family, n, k):
+    """(e, N) for A_n, B_n or D_n: N(i, j), for i + j <= k, is the
+    coefficient of s^i t^j in W(s, t) / ((1 - s)(1 - t))^e, where W(s, t)
+    counts (des, ides).  See gf_des_plus_ides for where the counts come
+    from; N is symmetric, which the D tables use."""
+    if family == "A":
+        return n + 2, lambda i, j: comb((i + 1) * (j + 1) + n, n + 1)
+    if family == "B":
+        return n + 1, lambda i, j: comb(2 * i * j + i + j + n, n)
+    # single[a][b] = sum_(m=1..b) C(m(2a + 1) + n - 2, n - 1), for a + b <= k
+    single = [list(accumulate((comb(m * (2 * a + 1) + n - 2, n - 1)
+                               for m in range(1, k - a + 1)), initial=0))
+              for a in range(k + 1)]
+    # double[i][j] = sum_(m<=i, q<=j) g(mq), for i <= j and i + j <= k, with
+    # g(p) = C(2p + n - 2, n - 1) + 2p C(2p + n - 3, n - 2); one 2-D prefix
+    # sum, built a row prefix sum at a time
+    double = [[0] * (k + 1)]
+    for i in range(1, k // 2 + 1):
+        line = accumulate((comb(2 * p + n - 2, n - 1) + 2 * p * comb(2 * p + n - 3, n - 2)
+                           for p in range(i, i * (k - i) + 1, i)), initial=0)
+        double.append(list(map(int.__add__, double[-1], line)))
+
+    def count(i, j):
+        if i > j:
+            i, j = j, i
+        m = 2 * i * j + i + j
+        return (comb(m + n, n) + comb(m + n - 1, n) - (2 * i + 1) * single[i][j]
+                - (2 * j + 1) * single[j][i] + double[i][j])
+
+    return n + 1, count
+
+
+def _des_plus_ides_row(label):
+    """des + ides row of an A, B, D or I2 factor, without enumeration.
+
+    For A, B and D, W(t, t) / (1 - t)^(2e) = sum_k M(k) t^k with the
+    antidiagonal sums M(k) = sum_(i+j=k) N(i, j), so M(0..n) differenced
+    2e times and mirrored is the row of degree 2n.  Above
+    TWO_SIDED_RANK_CAP an A, B or D factor raises ValueError.
+    """
+    f, n = label.family, label.rank
+    if f == "I2":
+        return (1, 0, 2 * label.m - 2, 0, 1)
+    if n > TWO_SIDED_RANK_CAP:
+        raise ValueError(f"des+ides of {label}: rank {n} exceeds the two-sided "
+                         f"count cap {TWO_SIDED_RANK_CAP}")
+    e, count = _two_sided_counts(f, n, n)
+    # N(i, j) = N(j, i): each antidiagonal is its first half twice and
+    # its middle entry, when there is one, once
+    sums = [sum((1 if 2 * i == k else 2) * count(i, k - i) for i in range(k // 2 + 1))
+            for k in range(n + 1)]
+    return tuple(_difference_and_mirror(sums, 2 * e, 2 * n))
+
+
 def gf_des_plus_ides(d):
     """Generating function of des(w) + des(w^-1); degree is twice the rank.
 
-    No closed product formula is known, so every factor is tallied by
-    enumeration (cached on disk after the first run).  The statistic is
-    multiplicative across factors, which keeps reducible groups cheap.
+    The statistic is additive across factors, so the product of the
+    factor rows is the row of the group.  I2(m) has 1 + (2m - 2) t^2 + t^4:
+    every element other than 1 and w0 has one left and one right descent.
+    A, B and D factors come from the two-sided counts; with e = n + 2 for
+    A_n and e = n + 1 for B_n and D_n,
+
+        sum_(i,j>=0) N(i, j) s^i t^j = W(s, t) / ((1 - s)(1 - t))^e,
+
+    with W(s, t) the (des, ides) generating function, and
+
+        N_A(i, j) = C((i + 1)(j + 1) + n, n + 1)
+        N_B(i, j) = C(M + n, n), with M = 2ij + i + j
+        N_D(i, j) = C(M + n, n) + C(M + n - 1, n)
+                    - (2i + 1) sum_(m=1..j) C(m(2i + 1) + n - 2, n - 1)
+                    - (2j + 1) sum_(m=1..i) C(m(2j + 1) + n - 2, n - 1)
+                    + sum_(m=1..i) sum_(q=1..j) [C(2mq + n - 2, n - 1)
+                                                 + 2mq C(2mq + n - 3, n - 2)]
+
+    (Carlitz, Roselle and Scoville 1966 for A; Petersen, Two-sided
+    Eulerian numbers via balls in boxes, Math. Mag. 2013).  One
+    derivation covers all three:
+
+    * w is minimal in its (W_I, W_J) double coset iff it has no left
+      descent in I and no right descent in J (Bjorner-Brenti,
+      Combinatorics of Coxeter Groups, ch. 2), so
+      N(i, j) = sum_(K,L in S) C(i, |K|) C(j, |L|) times the number of
+      (W_(S-L), W_(S-K)) double cosets.
+    * By Burnside, N(i, j) = <F_i, F_j>, with F_i = sum_K C(i, |K|) pi_K
+      and pi_K the permutation character of W on W / W_(S-K).
+    * F_i(w) is (i + 1)^cyc(w) on S_(n+1) and (2i + 1)^pos(w) on B_n,
+      pos counting the positive cycles.  On D_n it is the B value, except
+      on elements with no negative cycle, where, with c cycles and fix(w)
+      fixed points, it is (2i + 1)^c - fix(w) sum_(m=1..i) (2m)^(c-1).
+    * Summing over the B_n cycle index (1 - 2z)^(-(x+y)/2) e^(x(u-1)z),
+      with an even number of negative cycles for D, gives N_B and N_D.
+
+    The D class function was read off D4 and D5 class by class and is
+    checked, not proved: the tests compare N_D with window enumeration
+    on D4-D6, and the gf-des suite of ``coxstat verify`` compares the
+    rows with window enumeration and with the reflection walk.  E, F and
+    H factors are tallied by the walk.  Every factor goes through the
+    tally cache (on disk after the first run when $COXSTAT_CACHE is set).
     """
     d = as_descriptor(d)
     return product(
-        ExactPolynomial(cached_tally(f, "des_plus_ides")) for f in d.factors
+        ExactPolynomial(cached_tally(
+            f, "des_plus_ides",
+            _des_plus_ides_row if f.family in ("A", "B", "D", "I2") else None))
+        for f in d.factors
     )
 
 

@@ -4,12 +4,13 @@ cached_tally returns the histogram of inv, des or des_plus_ides over one
 irreducible factor.  It looks in a per-process dict first, then in a
 binary file under $COXSTAT_CACHE/tallies when that variable is set.  A
 file is used only when it opens and its length, sum, symmetry, mean and
-variance can belong to the tally; otherwise, and on a miss, the
-reflection walk in rootsys computes the tally and the file is
-(re)written.
+variance can belong to the tally; otherwise, and on a miss, the caller's
+builder computes the tally (polynomials passes its two-sided kernel for
+des_plus_ides on A, B, D and I2), or the reflection walk in rootsys when
+there is none, and the file is (re)written either way.
 
 This module imports no numpy: a hit costs a file read, and only a miss
-imports rootsys and with it the walk.
+without a builder imports rootsys and with it the walk.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def _tally_defect(label, statistic, counts):
     return None
 
 
-def cached_tally(label, statistic):
-    """statistics_tally with a process-level and optional disk cache.
+def cached_tally(label, statistic, build=None):
+    """build(label), or else statistics_tally, with a process-level and
+    optional disk cache.
 
     A disk entry that cannot be opened or parsed, or whose length, sum,
     symmetry, mean or variance cannot belong to the tally, is rebuilt
@@ -146,9 +148,12 @@ def cached_tally(label, statistic):
                 _MEMORY_TALLIES[key] = counts
                 return counts
             _warn(f"rebuilding tally file {path}: {defect}")
-    from .rootsys import build_root_system, statistics_tally
+    if build is not None:
+        counts = tuple(build(label))
+    else:
+        from .rootsys import build_root_system, statistics_tally
 
-    counts = statistics_tally(build_root_system(label), statistic)
+        counts = statistics_tally(build_root_system(label), statistic)
     _MEMORY_TALLIES[key] = counts
     if dirp is not None:
         try:

@@ -2,7 +2,8 @@
 
 Every check compares two independent routes to the same numbers:
 closed forms against brute enumeration, descent rows against window
-enumeration, the reflection walk and the closed-form moments,
+enumeration, the reflection walk and the closed-form moments, des+ides
+rows from the two-sided counts against window enumeration and the walk,
 limit-sweep rows against one descriptor per row, guessed formulas
 against known variances, emitted files against re-ingestion.
 Production runs none of these; they live here and in the tests.  A
@@ -63,6 +64,7 @@ from .moments import (
     second_moment_inv_type_b,
 )
 from .polynomials import (
+    _des_plus_ides_row,
     gf_des,
     gf_des_plus_ides,
     gf_inv,
@@ -91,6 +93,10 @@ def _walk_tally(label, statistic):
     from .rootsys import build_root_system, statistics_tally
 
     return statistics_tally(build_root_system(label), statistic)
+
+
+def _des_plus_ides_count(w, family):
+    return des_count(w, family) + ides_count(w, family)
 
 
 def _histogram_round_trip(name, group, n):
@@ -164,10 +170,15 @@ def _suite_gf_des():
         ok = f(1) == group_order(d) and structural_checks(f).palindromic
         yield (f"gf-des: {text} sums to the group order and is palindromic",
                ok, repr(f.coefficients))
-    got = gf_des_plus_ides(parse_descriptor("A3")).coefficients
-    want = window_tally("A", 4, lambda w, family: des_count(w, family)
-                        + ides_count(w, family))
-    yield _eq("gf-des: A3 des+ides matches the window tally", got, want)
+    # the two-sided rows themselves, not a cached tally
+    for text, family, length in [("A3", "A", 4), ("B3", "B", 3), ("D4", "D", 4)]:
+        got = _des_plus_ides_row(parse_descriptor(text).factors[0])
+        want = window_tally(family, length, _des_plus_ides_count)
+        yield _eq(f"gf-des: {text} des+ides matches the window tally", got, want)
+    for text in ["A5", "B4", "D5"]:
+        label = parse_descriptor(text).factors[0]
+        yield _eq(f"gf-des: {text} des+ides matches the reflection walk",
+                  _des_plus_ides_row(label), _walk_tally(label, "des_plus_ides"))
 
 
 def _suite_moments():

@@ -649,11 +649,13 @@ def write_verify_pins():
 # Pinned stdout of gf, moments, llt and interp: the sha256 of each
 # command's stdout, or "exit <code>: <stderr>" for a command that fails,
 # keyed by the command line and written by `python tests/oracles.py
-# stdout`.  des+ides runs only where its walk is cheap (groups of at
-# most 51840 elements); E8 des and A10 des+ides are refused by the
-# walk's cap.  The interp commands read histogram_json files built from
-# builtin_dataset in a directory of the caller's choosing, so the keys
-# name the files only.
+# stdout`.  des+ides leaves out the larger A, B and D groups: every
+# des+ides digest was first pinned from the reflection walk, which was
+# slow or capped on those groups, so the A, B and D digests check the
+# two-sided counts against the walk.  A10 des+ides, once refused by the
+# walk's cap, is a row; E8 des is still refused by that cap.  The interp
+# commands read histogram_json files built from builtin_dataset in a
+# directory of the caller's choosing, so the keys name the files only.
 STDOUT_DIGESTS_PATH = Path(__file__).with_name("data") / "cli_stdout_digests.json"
 _STDOUT_GROUPS = (
     [f"A{n}" for n in range(1, 10)] + ["A60"] + [f"B{n}" for n in range(2, 8)] + ["B60"]

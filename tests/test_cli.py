@@ -206,6 +206,13 @@ def test_moments_rational_encoding(capsys):
     assert "5" not in doc["cumulants"]
 
 
+def test_gf_des_plus_ides_past_the_rank_cap_is_refused(capsys):
+    # the two-sided counts stop at rank 100, before any big binomial
+    rc, out, err = run(capsys, "gf", "--group", "A3000", "--stat", "des+ides")
+    assert (rc, out, err.splitlines()) == (
+        2, "", ["error: des+ides of A3000: rank 3000 exceeds the two-sided count cap 100"])
+
+
 def test_moments_e8_descents_refused(capsys):
     rc, _, err = run(capsys, "moments", "--group", "E8", "--stat", "des")
     assert rc == 2
@@ -367,8 +374,12 @@ def test_clt_bad_spec_is_usage_error(capsys):
     ("A(n+)", "unexpected token ')' in expression in 'A(n+)'"),
     ("A(i)", "variable 'i' not available here"),
     ("A(n^(0-1))", "negative exponents are not integers"),
-    ("A(n) B(n)", "trailing input 'b' in sequence spec 'A(n) B(n)'"),
-    ("N(n)", "unknown family 'n' in sequence spec 'N(n)'"),
+    ("A(n) B(n)", "trailing input 'B' in sequence spec 'A(n) B(n)'"),
+    ("N(n)", "unknown family 'N' in sequence spec 'N(n)'"),
+    ("Prod(B(i) X A(n))", "expected ',', got 'X' in 'Prod(B(i) X A(n))'"),
+    ("A(1 0 X)", "expected ')', got 'X' in 'A(1 0 X)'"),
+    ("A(N+X)", "unexpected token 'X' in expression in 'A(N+X)'"),
+    ("A(n) 1 0", "trailing input '1 0' in sequence spec 'A(n) 1 0'"),
     ("prod(A(i), i=1..n-3)", "trivial group at n = 3"),
 ])
 def test_clt_spec_errors_are_one_line(capsys, spec, message):
@@ -663,8 +674,8 @@ def test_gf_round_trips_through_ingest(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold start: commands that do not walk never import numpy, and each
-# command leaves the coxstat modules it does not use unloaded
+# cold start: commands that do not walk never import numpy or rootsys,
+# and each command leaves the coxstat modules it does not use unloaded
 
 _COLD = (
     "import sys\n"
@@ -710,6 +721,9 @@ def filled_cache(tmp_path_factory):
     ["gf", "--group", "A2 x B3", "--stat", "inv"],
     ["gf", "--group", "A2 x B3", "--stat", "des+ides"],
     ["gf", "--group", "H3", "--stat", "des"],
+    # not in the cache: computed from the two-sided counts, not walked
+    ["gf", "--group", "A7", "--stat", "des+ides"],
+    ["moments", "--group", "D6", "--stat", "des+ides"],
     ["moments", "--group", "B4", "--stat", "des"],
     ["llt", "--group", "E6", "--stat", "inv"],
     ["clt", "--spec", "prod(I2(i), i=1..n)", "--stat", "des", "--range", "5..30"],
@@ -718,7 +732,7 @@ def filled_cache(tmp_path_factory):
     ["--help"],
 ], ids=" ".join)
 def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
-    unused = ",".join(("numpy",) + _UNUSED[argv[0]])
+    unused = ",".join(("numpy", "coxstat.rootsys") + _UNUSED[argv[0]])
     argv = [a.replace("{cache}", str(filled_cache)) for a in argv]
     proc = subprocess.run([sys.executable, "-c", _COLD, unused, *argv],
                           env=_cli_env(filled_cache), capture_output=True, text=True)

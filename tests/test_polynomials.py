@@ -20,8 +20,12 @@ from coxstat.groups import (
     parse_descriptor,
     rank,
 )
+from coxstat.elements import des_count, ides_count, iter_windows
+from coxstat.moments import double_eulerian_moments, moments_from_polynomial
 from coxstat.polynomials import (
+    TWO_SIDED_RANK_CAP,
     ExactPolynomial,
+    _two_sided_counts,
     bernoulli_parameters,
     descent_root_bag,
     gf_des,
@@ -270,6 +274,44 @@ def test_gf_des_plus_ides_type_a_and_products():
     assert got.degree == 2 * rank(parse_descriptor("A3"))
     # one factor per A1, each contributing 0 or 2
     assert gf_des_plus_ides(parse_descriptor("A1^2")).coefficients == (1, 0, 2, 0, 1)
+
+
+@pytest.mark.parametrize("group", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                                   "D4", "D5", "D6"])
+def test_two_sided_counts_match_the_window_tables(group):
+    # N(i, j) = sum_(a<=i, b<=j) W_ab C(i-a+e-1, e-1) C(j-b+e-1, e-1), with
+    # W_ab the number of windows with des a and ides b; N_D is checked here,
+    # not proved
+    label = parse_descriptor(group).factors[0]
+    family, n = label.family, label.rank
+    joint = {}
+    for w in iter_windows(family, n + 1 if family == "A" else n):
+        key = des_count(w, family), ides_count(w, family)
+        joint[key] = joint.get(key, 0) + 1
+    e, count = _two_sided_counts(family, n, 10)
+    for i in range(6):
+        for j in range(6):
+            want = sum(v * math.comb(i - a + e - 1, e - 1) * math.comb(j - b + e - 1, e - 1)
+                       for (a, b), v in joint.items() if a <= i and b <= j)
+            assert count(i, j) == want, (i, j)
+
+
+@pytest.mark.parametrize("group", ["A100", "B60", "D60", "I2(4000)"])
+def test_two_sided_rows_at_size(group):
+    d = parse_descriptor(group)
+    f = gf_des_plus_ides(d)
+    assert f.degree == 2 * rank(d)
+    assert f(1) == group_order(d)
+    assert f.coefficients == f.coefficients[::-1]
+    s = moments_from_polynomial(f, k_max=2)
+    assert (s.mean, s.variance) == double_eulerian_moments(d)
+
+
+def test_two_sided_rows_stop_at_the_rank_cap():
+    n = TWO_SIDED_RANK_CAP + 1
+    for family in "ABD":
+        with pytest.raises(ValueError, match=f"rank {n} exceeds the two-sided count cap {n - 1}"):
+            gf_des_plus_ides(parse_descriptor(f"{family}{n}"))
 
 
 # ---------------------------------------------------------------------------
