@@ -12,8 +12,8 @@ submodule read as an attribute (coxstat.limits), imports its module on
 first use (PEP 562), so a process pays only for the modules it touches:
 coxstat.gf_des loads groups, tallies, moments and polynomials, but
 not limits, interplab or elements.  numpy comes only with rootsys, the
-reflection walk, which is loaded when a tally must be walked, an
-exceptional group is enumerated, or a verify suite runs.
+reflection walk, which is loaded when an exceptional group is
+enumerated or a verify suite walks.
 """
 
 import importlib

@@ -13,9 +13,9 @@ groups, moments and polynomials (with tallies); on top of those, clt
 and llt load limits, interp loads interplab (and elements), enumerate
 loads elements for A/B/D and rootsys for any other family,
 and verify loads verify, which imports every module (rootsys only in
-the suites that walk).  The reflection walk (rootsys, the one module
-that imports numpy) is otherwise reached only through a miss of the
-tally cache in gf, moments or llt.
+the suites that walk).  gf, moments and llt never walk: the reflection
+walk (rootsys, the one module that imports numpy) serves only enumerate
+and verify.
 moments --stat inv prints the closed-form summary, which needs no
 histogram.
 """

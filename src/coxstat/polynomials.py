@@ -10,13 +10,13 @@ mirrored) and the type D row the same way from one sequence,
 (2k + 1)^n - n 2^(n-1) sum_(j<=k) j^(n-1), which is Brenti's B-to-D
 relation through Worpitzky's identity (the gf-des suite of ``coxstat
 verify`` checks the rows against window enumeration on small ranks and
-against the closed-form moments at rank about 100); exceptional factors
-fall back to the reflection-walk tally, read through the cache in
-tallies.  gf_des_plus_ides builds the A, B and D rows from the two-sided
-Eulerian counts N(i, j) (antidiagonal sums, differenced, then mirrored)
-and writes the I2 row down; only its E, F and H factors walk.  Every
-des+ides factor still goes through the tally cache, which stores what
-the kernel or the walk computed.
+against the closed-form moments at rank about 100).  gf_des_plus_ides
+builds the A, B and D rows from the two-sided Eulerian counts N(i, j)
+(antidiagonal sums, differenced, then mirrored) and writes the I2 row
+down.  The E, F and H rows of both are one committed table, which the
+gf-des suite checks against the parabolic sum and the reflection walk;
+E8 has no des+ides row.  E, F and H des rows and every des+ides row go
+through the tally cache in tallies, which stores what was computed.
 
 Root extraction for descent polynomials decides everything in integers.
 Square-freeness comes from a gcd modulo one prime, with the exact gcd
@@ -203,6 +203,21 @@ def _descent_row_d(n):
     return row
 
 
+# (des row, des+ides row) of each E, F and H factor; E8 has no des+ides row
+_EXCEPTIONAL_ROWS = {
+    "E6": ((1, 1272, 12183, 24928, 12183, 1272, 1),
+           (1, 0, 232, 1168, 5563, 11008, 15896, 11008, 5563, 1168, 232, 0, 1)),
+    "E7": ((1, 17635, 309969, 1123915, 1123915, 309969, 17635, 1),
+           (1, 0, 945, 10828, 80291, 292488, 652267, 829400, 652267, 292488, 80291,
+            10828, 945, 0, 1)),
+    "E8": ((1, 881752, 28336348, 169022824, 300247750, 169022824, 28336348, 881752, 1),
+           None),
+    "F4": ((1, 236, 678, 236, 1), (1, 0, 108, 224, 486, 224, 108, 0, 1)),
+    "H3": ((1, 59, 59, 1), (1, 0, 43, 32, 43, 0, 1)),
+    "H4": ((1, 2636, 9126, 2636, 1), (1, 0, 756, 3200, 6486, 3200, 756, 0, 1)),
+}
+
+
 def _gf_des_irreducible(label):
     f, n = label.family, label.rank
     if f in ("A", "B"):
@@ -211,7 +226,7 @@ def _gf_des_irreducible(label):
         return ExactPolynomial(tuple(_descent_row_d(n)))
     if f == "I2":
         return ExactPolynomial((1, 2 * label.m - 2, 1))
-    return ExactPolynomial(cached_tally(label, "des"))
+    return ExactPolynomial(cached_tally(label, "des", lambda g: _EXCEPTIONAL_ROWS[str(g)][0]))
 
 
 def gf_des(d):
@@ -258,16 +273,21 @@ def _two_sided_counts(family, n, k):
 
 
 def _des_plus_ides_row(label):
-    """des + ides row of an A, B, D or I2 factor, without enumeration.
+    """des + ides row of one factor, without enumeration.
 
     For A, B and D, W(t, t) / (1 - t)^(2e) = sum_k M(k) t^k with the
     antidiagonal sums M(k) = sum_(i+j=k) N(i, j), so M(0..n) differenced
-    2e times and mirrored is the row of degree 2n.  Above
-    TWO_SIDED_RANK_CAP an A, B or D factor raises ValueError.
+    2e times and mirrored is the row of degree 2n; E, F and H read the
+    table.  E8 and ranks above TWO_SIDED_RANK_CAP raise ValueError.
     """
     f, n = label.family, label.rank
     if f == "I2":
         return (1, 0, 2 * label.m - 2, 0, 1)
+    if f in ("E", "F", "H"):
+        row = _EXCEPTIONAL_ROWS[str(label)][1]
+        if row is None:
+            raise ValueError(f"des+ides of {label} is not tabulated")
+        return row
     if n > TWO_SIDED_RANK_CAP:
         raise ValueError(f"des+ides of {label}: rank {n} exceeds the two-sided "
                          f"count cap {TWO_SIDED_RANK_CAP}")
@@ -320,18 +340,14 @@ def gf_des_plus_ides(d):
 
     The D class function was read off D4 and D5 class by class and is
     checked, not proved: the tests compare N_D with window enumeration
-    on D4-D6, and the gf-des suite of ``coxstat verify`` compares the
-    rows with window enumeration and with the reflection walk.  E, F and
-    H factors are tallied by the walk.  Every factor goes through the
-    tally cache (on disk after the first run when $COXSTAT_CACHE is set).
+    on D4-D6 and the walk on D7, and ``coxstat verify`` compares the
+    rows with both.  E, F and H factors read a committed table, without
+    E8.  Every factor goes through the tally cache (on disk after the
+    first run when $COXSTAT_CACHE is set).
     """
     d = as_descriptor(d)
-    return product(
-        ExactPolynomial(cached_tally(
-            f, "des_plus_ides",
-            _des_plus_ides_row if f.family in ("A", "B", "D", "I2") else None))
-        for f in d.factors
-    )
+    return product(ExactPolynomial(cached_tally(f, "des_plus_ides", _des_plus_ides_row))
+                   for f in d.factors)
 
 
 # ---------------------------------------------------------------------------

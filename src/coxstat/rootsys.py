@@ -39,8 +39,8 @@ is not in D_R(w), and s is in D_L(w*w0) iff s is not in D_L(w)
 
 This is the walk module and the only one in the package that imports
 numpy.  The import stays at module level: a process that never walks
-never loads this module (the CLI and the tally cache import it on
-demand), and walkers forked from a process that has loaded it inherit
+never loads this module (enumerate and verify import it on demand),
+and walkers forked from a process that has loaded it inherit
 numpy, where an import inside the walk functions would be paid again
 by each fresh child's first call.  The tally cache itself lives in the
 numpy-free tallies module; cached_tally, read_tally_file and

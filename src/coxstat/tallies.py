@@ -5,12 +5,9 @@ irreducible factor.  It looks in a per-process dict first, then in a
 binary file under $COXSTAT_CACHE/tallies when that variable is set.  A
 file is used only when it opens and its length, sum, symmetry, mean and
 variance can belong to the tally; otherwise, and on a miss, the caller's
-builder computes the tally (polynomials passes its two-sided kernel for
-des_plus_ides on A, B, D and I2), or the reflection walk in rootsys when
-there is none, and the file is (re)written either way.
-
-This module imports no numpy: a hit costs a file read, and only a miss
-without a builder imports rootsys and with it the walk.
+builder computes the tally (polynomials passes its committed E, F and
+H rows and its two-sided kernel), and the file is (re)written either
+way.  The module imports no numpy and never walks.
 """
 
 from __future__ import annotations
@@ -119,9 +116,8 @@ def _tally_defect(label, statistic, counts):
     return None
 
 
-def cached_tally(label, statistic, build=None):
-    """build(label), or else statistics_tally, with a process-level and
-    optional disk cache.
+def cached_tally(label, statistic, build):
+    """build(label), with a process-level and optional disk cache.
 
     A disk entry that cannot be opened or parsed, or whose length, sum,
     symmetry, mean or variance cannot belong to the tally, is rebuilt
@@ -148,12 +144,7 @@ def cached_tally(label, statistic, build=None):
                 _MEMORY_TALLIES[key] = counts
                 return counts
             _warn(f"rebuilding tally file {path}: {defect}")
-    if build is not None:
-        counts = tuple(build(label))
-    else:
-        from .rootsys import build_root_system, statistics_tally
-
-        counts = statistics_tally(build_root_system(label), statistic)
+    counts = tuple(build(label))
     _MEMORY_TALLIES[key] = counts
     if dirp is not None:
         try:

@@ -4,8 +4,9 @@ Every check compares two independent routes to the same numbers:
 closed forms against brute enumeration, descent rows against window
 enumeration, the reflection walk and the closed-form moments, des+ides
 rows from the two-sided counts against window enumeration and the walk,
-limit-sweep rows against one descriptor per row, guessed formulas
-against known variances, emitted files against re-ingestion.
+the E, F and H table against the walk and the parabolic sum, limit-sweep
+rows against one descriptor per row, guessed formulas against known
+variances, emitted files against re-ingestion.
 Production runs none of these; they live here and in the tests.  A
 check prints one ``ok``/``FAIL`` line; the runner returns the failure
 count so the CLI can exit nonzero without raising.
@@ -20,6 +21,7 @@ W_s w W_t as the four products {w, sw, wt, swt}.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -37,7 +39,7 @@ from .elements import (
     st_count,
     window_tally,
 )
-from .groups import degrees, group_order, parse_descriptor, rank
+from .groups import coxeter_edges, degrees, group_order, irreducible, parse_descriptor, rank
 from .interplab import (
     StatisticDataset,
     builtin_dataset,
@@ -64,6 +66,7 @@ from .moments import (
     second_moment_inv_type_b,
 )
 from .polynomials import (
+    _EXCEPTIONAL_ROWS,
     _des_plus_ides_row,
     gf_des,
     gf_des_plus_ides,
@@ -147,7 +150,7 @@ def _suite_gf_des():
             want = window_tally(family, length, des_count)
             yield _eq(f"gf-des: {family}{n} row matches the window tally",
                       got, want)
-    for text in ["A5", "B4", "D5", "I2(8)"]:
+    for text in ["A5", "B4", "D5", "I2(8)", "F4", "H3"]:
         d = parse_descriptor(text)
         got = gf_des(d).coefficients
         want = _walk_tally(d.factors[0], "des")
@@ -164,18 +167,15 @@ def _suite_gf_des():
                f"mean {s.mean}, variance {s.variance}")
     yield _eq("gf-des: I2(9) closed row", gf_des(parse_descriptor("I2(9)")).coefficients,
               (1, 16, 1))
-    for text in ["E6", "H4"]:
-        d = parse_descriptor(text)
-        f = gf_des(d)
-        ok = f(1) == group_order(d) and structural_checks(f).palindromic
-        yield (f"gf-des: {text} sums to the group order and is palindromic",
-               ok, repr(f.coefficients))
+    for text, (row, _) in _EXCEPTIONAL_ROWS.items():
+        yield _eq(f"gf-des: {text} row matches the parabolic sum", row,
+                  _parabolic_des_row(parse_descriptor(text).factors[0]))
     # the two-sided rows themselves, not a cached tally
     for text, family, length in [("A3", "A", 4), ("B3", "B", 3), ("D4", "D", 4)]:
         got = _des_plus_ides_row(parse_descriptor(text).factors[0])
         want = window_tally(family, length, _des_plus_ides_count)
         yield _eq(f"gf-des: {text} des+ides matches the window tally", got, want)
-    for text in ["A5", "B4", "D5"]:
+    for text in ["A5", "B4", "D5", "F4", "H3"]:
         label = parse_descriptor(text).factors[0]
         yield _eq(f"gf-des: {text} des+ides matches the reflection walk",
                   _des_plus_ides_row(label), _walk_tally(label, "des_plus_ides"))
@@ -232,27 +232,50 @@ def _suite_roots():
                      sum(q / (1 + q) ** 2 for q in bag.values), float(var), 1e-8)
 
 
-def _parabolic_order(family, subset):
-    """Order of the standard parabolic generated by the given positions.
-
-    Positions follow descent_positions: type A uses 1..n-1, types B/D
-    prepend position 0.  Runs of consecutive positions are A blocks,
-    except a type-B run containing 0, which is a B block.
-    """
-    positions = sorted(subset)
-    order = 1
-    run = []
-    for p in positions + [None]:
-        if run and (p is None or p != run[-1] + 1):
-            k = len(run)
-            if family == "B" and run[0] == 0:
-                order *= 2 ** k * math.factorial(k)
-            else:
-                order *= math.factorial(k + 1)
-            run = []
-        if p is not None:
-            run.append(p)
+def _subgroup_order(label, subset):
+    """Order of the standard parabolic subgroup of one factor generated by
+    the simple positions in subset: the product over the connected
+    components of subset in coxeter_edges, each named by its diagram."""
+    edges = [e for e in coxeter_edges(label) if e[0] in subset and e[1] in subset]
+    nbrs = {v: {b if a == v else a for a, b, _ in edges if v in (a, b)} for v in subset}
+    order, left = 1, set(subset)
+    while left:
+        part, stack = set(), [left.pop()]
+        while stack:
+            v = stack.pop()
+            part.add(v)
+            stack += nbrs[v] & left
+            left -= nbrs[v]
+        k = len(part)
+        m, a, b = max(((m, a, b) for a, b, m in edges if a in part), default=(3, 0, 0))
+        branch = [v for v in part if len(nbrs[v]) == 3]
+        if m == 4:
+            f = irreducible("F", 4) if len(nbrs[a]) == len(nbrs[b]) == 2 else irreducible("B", k)
+        elif m >= 5:
+            f = irreducible("H", k) if m == 5 and k > 2 else irreducible("I2", 2, m)
+        elif branch:
+            # arms (1, 1, k - 3), two of them single leaves, make D_k
+            leaves = sum(len(nbrs[v]) == 1 for v in nbrs[branch[0]])
+            f = irreducible("D" if leaves >= 2 else "E", k)
+        else:
+            f = irreducible("A", k)
+        order *= group_order(f)
     return order
+
+
+def _parabolic_des_row(label):
+    """Descent row of one factor by the parabolic sum over K in S,
+    W(t) = sum_K |W| / |W_(S-K)| t^|K| (1 - t)^(n - |K|): |W| / |W_J|
+    elements have no right descent in J (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2.4), and each w is counted by every K >= D_R(w)."""
+    n, order = label.rank, group_order(label)
+    row = [0] * (n + 1)
+    for size in range(n + 1):
+        count = sum(order // _subgroup_order(label, set(range(n)) - set(K))
+                    for K in itertools.combinations(range(n), size))
+        for i in range(n - size + 1):
+            row[size + i] += (-1) ** i * math.comb(n - size, i) * count
+    return tuple(row)
 
 
 def _orbit_total(label):
@@ -277,17 +300,16 @@ def _orbit_total(label):
 
 
 def _suite_cosets():
-    import itertools
-
     for family, length, text in [("A", 5, "A4"), ("B", 3, "B3")]:
-        order = group_order(parse_descriptor(text))
+        label = parse_descriptor(text).factors[0]
         positions = range(1, length) if family == "A" else range(length)
         descents = [set(descent_positions(w, family))
                     for w in iter_windows(family, length)]
+        # window position p is simple position length - 1 - p (B's sign change last)
         bad = [J for r in range(len(positions) + 1)
                for J in itertools.combinations(positions, r)
-               if _parabolic_order(family, J)
-               * sum(1 for des in descents if des.isdisjoint(J)) != order]
+               if _subgroup_order(label, {length - 1 - p for p in J})
+               * sum(1 for des in descents if des.isdisjoint(J)) != group_order(label)]
         yield (f"cosets: {text} satisfies |W| = |W_J| |D_J| for every J",
                not bad, f"J in {bad} break the factorization")
     for text in ["A2", "A3", "B3"]:

@@ -649,21 +649,20 @@ def write_verify_pins():
 # Pinned stdout of gf, moments, llt and interp: the sha256 of each
 # command's stdout, or "exit <code>: <stderr>" for a command that fails,
 # keyed by the command line and written by `python tests/oracles.py
-# stdout`.  des+ides leaves out the larger A, B and D groups: every
-# des+ides digest was first pinned from the reflection walk, which was
-# slow or capped on those groups, so the A, B and D digests check the
-# two-sided counts against the walk.  A10 des+ides, once refused by the
-# walk's cap, is a row; E8 des is still refused by that cap.  The interp
-# commands read histogram_json files built from builtin_dataset in a
-# directory of the caller's choosing, so the keys name the files only.
+# stdout`.  Every des+ides digest of A, B and D and every E, F and H
+# digest was first pinned from the reflection walk, so the grid checks
+# the two-sided counts and the committed E, F and H rows against it;
+# the larger A, B and D groups and E7 were added once they took under a
+# second.  E8 des, first refused by the walk's cap, comes from the
+# table; E8 des+ides is still refused.  The interp commands read
+# histogram_json files built from builtin_dataset in a directory of the
+# caller's choosing, so the keys name the files only.
 STDOUT_DIGESTS_PATH = Path(__file__).with_name("data") / "cli_stdout_digests.json"
 _STDOUT_GROUPS = (
     [f"A{n}" for n in range(1, 10)] + ["A60"] + [f"B{n}" for n in range(2, 8)] + ["B60"]
-    + [f"D{n}" for n in range(4, 8)] + ["D60", "E6", "F4", "H3", "H4"]
+    + [f"D{n}" for n in range(4, 8)] + ["D60", "E6", "E7", "F4", "H3", "H4"]
     + [f"I2({m})" for m in range(3, 13)]
     + ["A2 x B3", "A1^4", "I2(5)^2 x A3", "H3 x D4"])
-_STDOUT_DES_IDES = [g for g in _STDOUT_GROUPS
-                    if g not in ("A8", "A9", "A60", "B7", "B60", "D7", "D60")]
 STDOUT_INTERP_FILES = {
     # file name: (statistic, sizes, keyed_by) for builtin_dataset
     "des_by_rank.json": ("des", range(2, 8), "rank"),
@@ -673,15 +672,15 @@ STDOUT_INTERP_FILES = {
 }
 STDOUT_COMMANDS = tuple(
     argv
-    for stat, groups in (("inv", _STDOUT_GROUPS), ("des", _STDOUT_GROUPS),
-                         ("des+ides", _STDOUT_DES_IDES))
+    for stat, groups in (("inv", _STDOUT_GROUPS), ("des", _STDOUT_GROUPS + ["E8"]),
+                         ("des+ides", _STDOUT_GROUPS))
     for group in groups
     for argv in (("gf", "--group", group, "--stat", stat),
                  *(("moments", "--group", group, "--stat", stat, "--k-max", k)
                    for k in ("2", "6", "9")),
                  ("llt", "--group", group, "--stat", stat))
 ) + (
-    ("gf", "--group", "E8", "--stat", "des"),
+    ("gf", "--group", "E8", "--stat", "des+ides"),
     ("gf", "--group", "A10", "--stat", "des+ides"),
 ) + tuple(
     ("interp", "--input", name, "--format", "histogram_json", "--target", target)

@@ -22,7 +22,7 @@ from coxstat.limits import (
     llt_sup_distance,
 )
 from coxstat.moments import moments_from_polynomial
-from coxstat.polynomials import ExactPolynomial, gf_des, gf_inv
+from coxstat.polynomials import ExactPolynomial, gf_des, gf_des_plus_ides, gf_inv
 from coxstat import tallies
 from coxstat.tallies import write_tally_file
 
@@ -213,10 +213,18 @@ def test_gf_des_plus_ides_past_the_rank_cap_is_refused(capsys):
         2, "", ["error: des+ides of A3000: rank 3000 exceeds the two-sided count cap 100"])
 
 
-def test_moments_e8_descents_refused(capsys):
-    rc, _, err = run(capsys, "moments", "--group", "E8", "--stat", "des")
-    assert rc == 2
-    assert "696729600" in err
+def test_moments_e8_descents_from_the_table(capsys):
+    rc, out, _ = run(capsys, "moments", "--group", "E8", "--stat", "des")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["mean"], doc["variance"]) == ("4", "5/6")
+
+
+def test_gf_e8_des_plus_ides_is_refused_without_the_walk(capsys):
+    # E8's des+ides row is not tabulated, and the walk is not tried
+    rc, out, err = run(capsys, "gf", "--group", "E8", "--stat", "des+ides")
+    assert (rc, out, err.splitlines()) == (
+        2, "", ["error: des+ides of E8 is not tabulated"])
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +717,8 @@ def filled_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tallies, "_MEMORY_TALLIES", {})
         mp.setenv("COXSTAT_CACHE", str(cache))
-        for group, statistic in [("H3", "des"), ("A2", "des_plus_ides"),
-                                 ("B3", "des_plus_ides")]:
-            tallies.cached_tally(parse_descriptor(group).factors[0], statistic)
+        gf_des("H3")
+        gf_des_plus_ides("A2 x B3")
     write_values_doc(cache / "des.json", (4, 5, 6, 7))
     return cache
 
@@ -724,6 +731,11 @@ def filled_cache(tmp_path_factory):
     # not in the cache: computed from the two-sided counts, not walked
     ["gf", "--group", "A7", "--stat", "des+ides"],
     ["moments", "--group", "D6", "--stat", "des+ides"],
+    # not in the cache: read from the E, F and H table, not walked
+    ["gf", "--group", "E7", "--stat", "des+ides"],
+    ["moments", "--group", "E8", "--stat", "des"],
+    ["llt", "--group", "F4", "--stat", "des"],
+    ["gf", "--group", "H4", "--stat", "des"],
     ["moments", "--group", "B4", "--stat", "des"],
     ["llt", "--group", "E6", "--stat", "inv"],
     ["clt", "--spec", "prod(I2(i), i=1..n)", "--stat", "des", "--range", "5..30"],

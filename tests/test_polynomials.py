@@ -21,8 +21,9 @@ from coxstat.groups import (
     rank,
 )
 from coxstat.elements import des_count, ides_count, iter_windows
-from coxstat.moments import double_eulerian_moments, moments_from_polynomial
+from coxstat.moments import double_eulerian_moments, eulerian_moments, moments_from_polynomial
 from coxstat.polynomials import (
+    _EXCEPTIONAL_ROWS,
     TWO_SIDED_RANK_CAP,
     ExactPolynomial,
     _two_sided_counts,
@@ -36,8 +37,8 @@ from coxstat.polynomials import (
     structural_checks,
     z_integer,
 )
-from coxstat.rootsys import build_root_system, statistics_tally
-from coxstat.verify import run_suite
+from coxstat.rootsys import build_root_system, enumerate_inversion_sets, statistics_tally
+from coxstat.verify import _parabolic_des_row, run_suite
 
 
 def P(*coeffs):
@@ -260,9 +261,31 @@ def test_gf_des_exceptional_and_shape():
         assert structural_checks(f).palindromic
 
 
-def test_gf_des_e8_needs_override():
-    with pytest.raises(ValueError, match="696729600"):
-        gf_des(parse_descriptor("E8"))
+def test_gf_des_e8_from_the_table():
+    d = parse_descriptor("E8")
+    f = gf_des(d)
+    assert f.coefficients == _parabolic_des_row(d.factors[0])
+    assert f(1) == group_order(d) == 696729600
+    assert f.coefficients == f.coefficients[::-1]
+    s = moments_from_polynomial(f, k_max=2)
+    assert (s.mean, s.variance) == eulerian_moments(d) == (4, Fraction(5, 6))
+
+
+@pytest.mark.parametrize("group", ["E6", "E7", "F4", "H3", "H4"])
+def test_exceptional_rows_match_the_reflection_walk(group):
+    rs = build_root_system(parse_descriptor(group).factors[0])
+    des, des_plus_ides = _EXCEPTIONAL_ROWS[group]
+    assert des == statistics_tally(rs, "des")
+    assert des_plus_ides == statistics_tally(rs, "des_plus_ides")
+
+
+@pytest.mark.parametrize("group", ["A1", "A6", "B2", "B5", "D4", "D6", "I2(4)", "I2(5)",
+                                   "I2(7)"])
+def test_parabolic_sum_matches_gf_des(group):
+    # the classical and dihedral shapes; the gf-des suite of verify, pinned
+    # in tests/data/verify_full.txt, checks E, F and H
+    d = parse_descriptor(group)
+    assert _parabolic_des_row(d.factors[0]) == gf_des(d).coefficients
 
 
 def test_gf_des_plus_ides_type_a_and_products():
@@ -305,6 +328,23 @@ def test_two_sided_rows_at_size(group):
     assert f.coefficients == f.coefficients[::-1]
     s = moments_from_polynomial(f, k_max=2)
     assert (s.mean, s.variance) == double_eulerian_moments(d)
+
+
+def test_two_sided_counts_match_the_walk_on_d7():
+    # the walk's (des, ides) table on D7's 322560 elements against the one
+    # rebuilt from N_D: W(s, t) = N(s, t) ((1 - s)(1 - t))^e, each factor
+    # (1 - s) a running difference down the columns, (1 - t) along the rows
+    n = 7
+    walk = [[0] * (n + 1) for _ in range(n + 1)]
+    for r in enumerate_inversion_sets(build_root_system(parse_descriptor("D7").factors[0])):
+        walk[bin(r.right_descents).count("1")][bin(r.left_descents).count("1")] += 1
+    e, count = _two_sided_counts("D", n, 2 * n)
+    table = [[count(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    for _ in range(e):
+        table = [table[0], *([a - b for a, b in zip(row, prev)]
+                             for prev, row in zip(table, table[1:]))]
+        table = [[row[0], *(b - a for a, b in zip(row, row[1:]))] for row in table]
+    assert table == walk
 
 
 def test_two_sided_rows_stop_at_the_rank_cap():

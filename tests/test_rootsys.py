@@ -515,18 +515,23 @@ def test_rootsys_reexports_the_tally_cache():
         assert getattr(rootsys, name) is getattr(tallies, name)
 
 
+def walk(statistic):
+    """A tally builder for cached_tally: the reflection walk."""
+    return lambda label: statistics_tally(build_root_system(label), statistic)
+
+
 def test_cached_tally_disk_and_memory(tmp_path, monkeypatch):
     from coxstat import tallies
 
     lab = irreducible("I2", 2, 6)
     monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
-    a = cached_tally(lab, "des")
+    a = cached_tally(lab, "des", walk("des"))
     files = list((tmp_path / "tallies").glob("*"))
     assert [f.name for f in files] == ["I2_6.des.tally"]
     # corrupt-resistant: re-read comes from disk on a fresh memory cache
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
-    b = cached_tally(lab, "des")
+    b = cached_tally(lab, "des", walk("des"))
     assert a == b == (1, 10, 1)
 
 
@@ -536,7 +541,7 @@ def test_no_disk_cache_without_the_variable(tmp_path, monkeypatch):
     monkeypatch.delenv("COXSTAT_CACHE", raising=False)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
-    assert cached_tally(irreducible("I2", 2, 5), "des") == (1, 8, 1)
+    assert cached_tally(irreducible("I2", 2, 5), "des", walk("des")) == (1, 8, 1)
     assert not list(tmp_path.rglob("*"))
 
 
@@ -582,7 +587,7 @@ def test_cache_env_variable(tmp_path, monkeypatch):
     lab = irreducible("I2", 2, 11)
     monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
     tallies._MEMORY_TALLIES.pop((lab, "inv"), None)
-    cached_tally(lab, "inv")
+    cached_tally(lab, "inv", walk("inv"))
     assert list((tmp_path / "tallies").glob("*.tally"))
 
 
@@ -604,11 +609,11 @@ def test_cached_tally_rebuilds_corrupt_file(tmp_path, monkeypatch, corrupt):
     lab = irreducible("H", 3)
     monkeypatch.setenv("COXSTAT_CACHE", str(tmp_path))
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
-    want = cached_tally(lab, "des")
+    want = cached_tally(lab, "des", walk("des"))
     assert want == (1, 59, 59, 1)
     path = tmp_path / "tallies" / "H3.des.tally"
     corrupt(path)
     monkeypatch.setattr(tallies, "_MEMORY_TALLIES", {})
     with pytest.warns(RuntimeWarning, match="H3.des.tally"):
-        assert cached_tally(lab, "des") == want
+        assert cached_tally(lab, "des", walk("des")) == want
     assert read_tally_file(path) == want
