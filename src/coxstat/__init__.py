@@ -11,9 +11,8 @@ Importing the package loads no submodule.  A re-exported name, or a
 submodule read as an attribute (coxstat.limits), imports its module on
 first use (PEP 562), so a process pays only for the modules it touches:
 coxstat.gf_des loads groups, tallies, moments and polynomials, but
-not limits, interplab or elements.  numpy comes only with rootsys, the
-reflection walk, which is loaded when an exceptional group is
-enumerated or a verify suite walks.
+not limits, interplab, elements or rootsys, the reflection walk, which
+is loaded when an exceptional group is enumerated or verify runs.
 """
 
 import importlib

@@ -12,10 +12,9 @@ Each command imports only the modules it uses.  Every command loads
 groups, moments and polynomials (with tallies); on top of those, clt
 and llt load limits, interp loads interplab (and elements), enumerate
 loads elements for A/B/D and rootsys for any other family,
-and verify loads verify, which imports every module (rootsys only in
-the suites that walk).  gf, moments and llt never walk: the reflection
-walk (rootsys, the one module that imports numpy) serves only enumerate
-and verify.
+and verify loads verify, which imports every module.  gf, moments and
+llt never walk: the reflection walk (rootsys) serves only enumerate and
+verify.
 moments --stat inv prints the closed-form summary, which needs no
 histogram.
 """
@@ -184,7 +183,7 @@ def _cmd_interp(args, stream):
     }
     points = [(row.n, getattr(row, args.target)) for row in rows]
     try:
-        doc["formulas"] = [str(f) for f in lagrange_guess(points, target=args.target)]
+        doc["formulas"] = [str(f) for f in lagrange_guess(points)]
     except ValueError as exc:
         doc["formulas"] = []
         doc["note"] = str(exc)

@@ -338,18 +338,15 @@ def _lagrange_basis(xs):
     return basis, weights
 
 
-def lagrange_guess(points, target="variance"):
+def lagrange_guess(points):
     """Rational-form candidates reproducing the points exactly.
 
     points are (n, exact value) pairs, at least four with distinct
-    integral n.
-    A candidate (a, b, c) is accepted when the interpolated numerator
-    has degree at most len(points) - 3 and, for c > 0, is constant or
-    nonzero at n = -b/a; results come back sorted by
+    integral n.  A candidate (a, b, c) is accepted when the interpolated
+    numerator has degree at most len(points) - 3 and, for c > 0, is
+    constant or nonzero at n = -b/a; results come back sorted by
     (c, |a|, |b|, degree).
     """
-    if target not in ("mean", "variance"):
-        raise ValueError("target must be mean or variance")
     pts = []
     for n, v in points:
         if n != int(n):

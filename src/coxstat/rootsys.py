@@ -20,16 +20,12 @@ the vector, since Inv(w^-1) = -w(Inv(w)).  Extending w by a simple
 reflection s is a single gather: act_ws[i] = act_w[perm_s[i]] for
 i != s, and act_ws[s] = -act_w[s].
 
-The breadth-first walk over the right weak order generates each element
-exactly once, from its canonical parent u*s with s = min D_R(u), so no
-level is deduplicated and elements come in generation order.  Each level
-is a list of column blocks: one row per positive root and one column per
-element, about _TALLY_BLOCK columns to a block, so extending by s copies
-N contiguous rows.  The walk drops each block of a level as soon as its
-children are built, so about one level is alive at a time.  Tallies and
-element_actions read the blocks one at a time, as they are; only
-enumerate_inversion_sets, which promises (length, inversion set) order,
-joins each level's packed inversion bitsets and sorts them.
+The breadth-first walk (_bfs_levels) generates each element of the
+right weak order once, in generation order.  A level is a list of
+blocks, each an array of about _TALLY_BLOCK records, one per element:
+its action vector, one signed byte per entry (two above 126 roots).
+A block is dropped once its children are built, so about one level is
+alive at a time.  Only enumerate_inversion_sets sorts a level.
 
 Tallies walk only the levels through N // 2 and mirror the rest:
 w -> w*w0, with w0 the longest element, sends length l to N - l, des
@@ -37,25 +33,21 @@ to n - des and ides to n - ides, since s is in D_R(w*w0) iff w0*s*w0
 is not in D_R(w), and s is in D_L(w*w0) iff s is not in D_L(w)
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.3).
 
-This is the walk module and the only one in the package that imports
-numpy.  The import stays at module level: a process that never walks
-never loads this module (enumerate and verify import it on demand),
-and walkers forked from a process that has loaded it inherit
-numpy, where an import inside the walk functions would be paid again
-by each fresh child's first call.  The tally cache itself lives in the
-numpy-free tallies module; cached_tally, read_tally_file and
-write_tally_file are re-exported here for callers that name them under
-rootsys.
+The tally cache lives in the tallies module; cached_tally,
+read_tally_file and write_tally_file are re-exported here for callers
+that name them under rootsys.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import namedtuple
-from itertools import combinations, islice
+from functools import reduce
+from itertools import combinations, compress, islice
 from math import comb, prod
-from operator import itemgetter, mul
-
-import numpy as np
+from operator import and_, itemgetter, mul, neg
+from struct import iter_unpack
 
 from .groups import coxeter_edges, factor_m_max, group_order, positive_root_count
 from .tallies import cached_tally, read_tally_file, write_tally_file  # noqa: F401
@@ -80,7 +72,7 @@ DEFAULT_ENUM_CAP = 5_000_000
 
 TALLY_STATISTICS = ("inv", "des", "des_plus_ides")
 
-_TALLY_BLOCK = 1 << 13  # columns (elements) per block of a walk level
+_TALLY_BLOCK = 1 << 13  # records (elements) per block of a walk level
 
 
 class RootSystem(namedtuple("RootSystem", "label rank positive_roots action")):
@@ -261,78 +253,88 @@ def build_root_system(label):
 # ---------------------------------------------------------------------------
 # breadth-first element walk
 
-def _inversion_keys(acts):
-    """Pack the sign pattern of each column into one or more uint64 words."""
-    neg = acts < 0
-    nrows, ncols = neg.shape
-    words = (nrows + 63) // 64
-    padded = np.zeros((words * 64, ncols), dtype=bool)
-    padded[:nrows] = neg
-    packed = np.packbits(padded, axis=0, bitorder="little")
-    return np.ascontiguousarray(packed.T).view("<u8").reshape(ncols, words)
+# bytes.translate tables: a sign byte as 0/1 or as "0"/"1", and a one-byte entry negated
+_POSITIVE = bytes(b < 128 for b in range(256))
+_NEGATIVE = bytes(b >= 128 for b in range(256))
+_NEGATIVE_DIGIT = b"0" * 128 + b"1" * 128
+_NEGATE = bytes(-b & 255 for b in range(256))
+
+
+def _layout(N):
+    """(array typecode, bytes per entry, sign byte offset) for values +-1..+-N."""
+    return ("b", 1, 0) if N <= 126 else ("h", 2, int(sys.byteorder == "little"))
+
+
+def _column(raw, offset, stride, table):
+    """Byte offset of every record in raw, translated, as one base-256 digit each."""
+    return int.from_bytes(raw[offset::stride].translate(table), "little")
 
 
 def _check_cap(label):
     """Refuse a group with more elements than DEFAULT_ENUM_CAP."""
     order = group_order(label)
     if order > DEFAULT_ENUM_CAP:
-        raise ValueError(
-            f"group order {order} of {label} exceeds enumeration cap {DEFAULT_ENUM_CAP}"
-        )
+        raise ValueError(f"group order {order} of {label} exceeds enumeration cap "
+                         f"{DEFAULT_ENUM_CAP}")
 
 
 def _bfs_levels(rs):
     """Yield (length, blocks) per level of the right weak order, each element
-    once; blocks is a list of (N, k) column blocks, one row per positive
-    root and one column per element, with k about _TALLY_BLOCK.
+    once; blocks is a list of arrays of about _TALLY_BLOCK records each.
 
     Canonical generation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
     ch. 3): every u != e has the one parent u*s with s = min D_R(u), so w
     is extended by s only when s is an ascent of w and no t < s is a right
     descent of w*s.  Since act_ws[t] = act_w[perm_s[t]], the second test
-    reads act_w alone.  Columns within a level come in generation order.
+    reads act_w alone.  Records within a level come in generation order.
 
     A level is built only when the consumer asks for it, and building it
     empties the list of the level before, so a consumer reads each list
     before it asks for the next level.  Once DEFAULT_ENUM_CAP elements
     have been yielded, the walk goes on only for a group within the cap.
     """
-    n = rs.rank
     N = rs.root_count
-    dtype = np.int8 if N <= 126 else np.int16
-    perms = [np.asarray(row, dtype=np.intp) for row in rs.action]
-    # the positions that must be positive for w to extend by s: s, and
-    # perm_s[t] for t < s.  They are simple roots and their images under
-    # one reflection, which the closure numbers first, so the sign test
-    # reads a narrow slice of each level.
-    guards = [np.concatenate(([s], perms[s][:s])) for s in range(n)]
-    head = 1 + max(int(cols.max()) for cols in guards)
-    level = [np.arange(1, N + 1, dtype=dtype).reshape(N, 1)]
-    length = 0
-    total = 0
+    code, width, sign = _layout(N)
+    stride = width * N
+    # (destination, source) byte offsets of the gather act_ws[t] = act_w[perm_s[t]],
+    # where perm_s moves t: a copy of act_w holds the rest
+    moves = [[(width * t + b, width * p + b) for t, p in enumerate(row) if p != t
+              for b in range(width)] for row in rs.action]
+    # the entries that must be positive for w to extend by s: s, and perm_s[t] for t < s
+    guards = [(s, *row[:s]) for s, row in enumerate(rs.action)]
+    level = [array(code, range(1, N + 1))]
+    length = total = 0
     while level:
-        total += sum(acts.shape[1] for acts in level)
+        total += sum(map(len, level)) // N
         yield length, level
         if total >= DEFAULT_ENUM_CAP:
             _check_cap(rs.label)
         level.reverse()
-        blocks, pending, cols = [], [], 0
+        blocks, pending = [], bytearray()
         while level:
-            acts = level.pop()
-            pos = acts[:head] > 0
-            for s in range(n):
-                sub = acts.compress(pos[guards[s]].all(axis=0), axis=1).take(perms[s], axis=0)
-                np.negative(sub[s], out=sub[s])
-                pending.append(sub)
-                cols += sub.shape[1]
-                if cols >= _TALLY_BLOCK:
-                    blocks.append(np.concatenate(pending, axis=1))
-                    pending, cols = [], 0
-        if cols:
-            blocks.append(np.concatenate(pending, axis=1))
-        # neither the last block of the level before nor the pieces of the
-        # last new block live on through the consumer's pass
-        del acts, pos, sub, pending
+            raw = level.pop().tobytes()
+            records = [rec for rec, in iter_unpack(f"{stride}s", raw)]
+            positive = {g: _column(raw, width * g + sign, stride, _POSITIVE)
+                        for g in set().union(*guards)}
+            for s, pairs in enumerate(moves):
+                mask = reduce(and_, map(positive.__getitem__, guards[s]))
+                picked = b"".join(compress(records, mask.to_bytes(len(records), "little")))
+                sub = bytearray(picked)
+                for dst, src in pairs:
+                    sub[dst::stride] = picked[src::stride]
+                if width == 1:
+                    sub[s::stride] = sub[s::stride].translate(_NEGATE)
+                else:
+                    sub = array(code, sub)
+                    sub[s::N] = array(code, map(neg, sub[s::N]))
+                pending += sub
+                if len(pending) >= _TALLY_BLOCK * stride:
+                    blocks.append(array(code, pending))
+                    pending = bytearray()
+        if pending:
+            blocks.append(array(code, pending))
+        # no block of the level before lives on through the consumer's pass
+        del raw, records, pending
         level = blocks
         length += 1
     order = group_order(rs.label)
@@ -340,34 +342,28 @@ def _bfs_levels(rs):
         raise RuntimeError(f"{rs.label}: walk visited {total} elements, expected {order}")
 
 
-def _left_descents(acts, n):
-    """Left-descent bitsets of a column block: bit j for an entry -(j+1)."""
-    left = np.zeros(acts.shape[1], dtype=np.int64)
-    for j in range(n):
-        left |= (acts == -(j + 1)).any(axis=0).astype(np.int64) << j
-    return left
-
-
 def enumerate_inversion_sets(rs):
     """ElementRecords in (length, inversion set) order.
 
-    Each level's packed inversion bitsets are joined across its blocks
-    and sorted; lexsort's last key is its primary one, so the rows of
-    keys.T run from the lowest word to the highest and the bitsets
-    compare as integers.  The walk is lazy by level: taking the first k
-    records builds no level past the one that holds record k.  On a group
-    above DEFAULT_ENUM_CAP, asking for a level past the one that holds
-    record DEFAULT_ENUM_CAP raises ValueError.
+    Each level is sorted by its inversion bitsets, read off the sign bytes
+    of its records.  The walk is lazy by level: taking the first k records
+    builds no level past the one that holds record k.  On a group above
+    DEFAULT_ENUM_CAP, asking for a level past the one that holds record
+    DEFAULT_ENUM_CAP raises ValueError.
     """
     n = rs.rank
-    simple_mask = (1 << n) - 1
+    code, width, sign = _layout(rs.root_count)
+    keys = [-(j + 1) & 255 if width == 1 else -(j + 1) for j in range(n)]
     for length, blocks in _bfs_levels(rs):
-        keys = np.concatenate([_inversion_keys(acts) for acts in blocks])
-        left = np.concatenate([_left_descents(acts, n) for acts in blocks])
-        by_set = np.lexsort(keys.T)
-        for row, lefts in zip(keys[by_set], left[by_set].tolist()):
-            inv = int.from_bytes(row.tobytes(), "little")
-            yield ElementRecord(inv, length, inv & simple_mask, lefts)
+        level = []
+        for acts in blocks:
+            for rec, in iter_unpack(f"{width * rs.root_count}s", acts):
+                level.append((int(rec[sign::width].translate(_NEGATIVE_DIGIT)[::-1], 2), rec))
+        level.sort()
+        for inv, rec in level:
+            values = rec if width == 1 else array(code, rec)
+            left = sum(1 << j for j, key in enumerate(keys) if key in values)
+            yield ElementRecord(inv, length, inv & ((1 << n) - 1), left)
 
 
 def statistics_tally(rs, statistic):
@@ -375,11 +371,11 @@ def statistics_tally(rs, statistic):
     a group above DEFAULT_ENUM_CAP raises ValueError before anything is
     walked.
 
-    Only the levels through N // 2 are walked, one column block at a
-    time, each column counted by a reduction along its roots, and w ->
-    w*w0 mirrors the rest (module docstring): the histogram is low +
-    low[::-1] + mid, with mid the level N/2 of an even N.  The mirrored
-    total is checked against the group order.
+    Only the levels through N // 2 are walked, and w -> w*w0 mirrors the
+    rest (module docstring): the histogram is low + low[::-1] + mid, with
+    mid the level N/2 of an even N.  The mirrored total is checked against
+    the group order.  des and ides are sums over entries of base-256
+    integers, one digit per record, and within the cap no digit reaches 256.
 
     >>> from coxstat.groups import irreducible
     >>> statistics_tally(build_root_system(irreducible("A", 2)), "des_plus_ides")
@@ -388,54 +384,57 @@ def statistics_tally(rs, statistic):
     if statistic not in TALLY_STATISTICS:
         raise ValueError(f"statistic must be one of {TALLY_STATISTICS}, got {statistic!r}")
     _check_cap(rs.label)
-    n = rs.rank
-    N = rs.root_count
+    n, N = rs.rank, rs.root_count
+    _, width, sign = _layout(N)
+    stride = width * N
+    # an entry -n..-1 has a low byte 256-n..255, and a high byte 255
+    low_byte = bytes(b >= 256 - n for b in range(256))
+    high_byte = bytes(b == 255 for b in range(256))
     size = {"inv": N + 1, "des": n + 1, "des_plus_ides": 2 * n + 1}[statistic]
-    low = np.zeros(size, dtype=np.int64)
-    mid = np.zeros(size, dtype=np.int64)
+    low, mid = [0] * size, [0] * size
     for length, blocks in islice(_bfs_levels(rs), N // 2 + 1):
         part = mid if 2 * length == N else low
         if statistic == "inv":
-            part[length] = sum(acts.shape[1] for acts in blocks)
+            part[length] = sum(map(len, blocks)) // N
             continue
         for acts in blocks:
-            # right descents: the negative entries among the n simple
-            # rows; left descents: the entries -1..-n anywhere, which are
-            # the top n values of the unsigned view
-            vals = (acts[:n] < 0).sum(axis=0)
+            raw = acts.tobytes()
+            counts = sum(_column(raw, width * p + sign, stride, _NEGATIVE) for p in range(n))
             if statistic == "des_plus_ides":
-                vals += (acts.view(f"u{acts.itemsize}") >= 256 ** acts.itemsize - n).sum(axis=0)
-            part += np.bincount(vals, minlength=size)
-    counts = low + low[::-1] + mid
+                for t in range(0, stride, width):
+                    ides = _column(raw, t + width - 1 - sign, stride, low_byte)
+                    if width == 2:
+                        ides &= _column(raw, t + sign, stride, high_byte)
+                    counts += ides
+            digits = counts.to_bytes(len(acts) // N, "little")
+            for value in range(size):
+                part[value] += digits.count(value)
+    counts = [a + b + c for a, b, c in zip(low, low[::-1], mid)]
     order = group_order(rs.label)
-    if counts.sum() != order:
-        raise RuntimeError(f"{rs.label}: mirrored tally counts {counts.sum()} elements, "
+    if sum(counts) != order:
+        raise RuntimeError(f"{rs.label}: mirrored tally counts {sum(counts)} elements, "
                            f"expected {order}")
-    return tuple(counts.tolist())
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
 # action vectors as explicit group elements (oracle plumbing)
 
 def simple_action(rs, s):
-    row = rs.action[s]
-    return tuple(-(s + 1) if j == s else row[j] + 1 for j in range(rs.root_count))
+    return tuple(-(s + 1) if j == s else i + 1 for j, i in enumerate(rs.action[s]))
 
 
 def compose_actions(u, v):
     """Action vector of u o v from those of u and v."""
-    out = []
-    for x in v:
-        y = u[x - 1] if x > 0 else -u[-x - 1]
-        out.append(y)
-    return tuple(out)
+    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
 
 
 def element_actions(rs):
     """All action vectors, level by level in generation order, read one
-    column block at a time; a group above DEFAULT_ENUM_CAP raises ValueError
+    block at a time; a group above DEFAULT_ENUM_CAP raises ValueError
     before anything is walked."""
     _check_cap(rs.label)
+    N = rs.root_count
     for _, blocks in _bfs_levels(rs):
         for acts in blocks:
-            yield from map(tuple, acts.T.tolist())
+            yield from (tuple(acts[i:i + N]) for i in range(0, len(acts), N))

@@ -7,7 +7,7 @@ file is used only when it opens and its length, sum, symmetry, mean and
 variance can belong to the tally; otherwise, and on a miss, the caller's
 builder computes the tally (polynomials passes its committed E, F and
 H rows and its two-sided kernel), and the file is (re)written either
-way.  The module imports no numpy and never walks.
+way.  The module never walks.
 """
 
 from __future__ import annotations

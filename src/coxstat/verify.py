@@ -27,6 +27,7 @@ import math
 import sys
 import tempfile
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .elements import (
@@ -74,6 +75,8 @@ from .polynomials import (
     negated_real_roots,
     structural_checks,
 )
+from .rootsys import (build_root_system, compose_actions, element_actions, simple_action,
+                      statistics_tally)
 
 __all__ = ["SUITES", "suite_names", "run_suite"]
 
@@ -88,14 +91,6 @@ def _eq(name, got, want):
 def _close(name, got, want, tol):
     err = abs(got - want)
     return (name, err <= tol, f"got {got!r}, want {want!r} within {tol}")
-
-
-def _walk_tally(label, statistic):
-    """The tally of one factor by the reflection walk.  rootsys (and with
-    it numpy) loads on the first walk, not with this module."""
-    from .rootsys import build_root_system, statistics_tally
-
-    return statistics_tally(build_root_system(label), statistic)
 
 
 def _des_plus_ides_count(w, family):
@@ -129,7 +124,7 @@ def _suite_gf_inv():
     for text in ["H3", "F4"]:
         d = parse_descriptor(text)
         got = gf_inv(d).coefficients
-        want = _walk_tally(d.factors[0], "inv")
+        want = statistics_tally(build_root_system(d.factors[0]), "inv")
         yield _eq(f"gf-inv: {text} matches the reflection walk", got, want)
     d = parse_descriptor("A3 x B2")
     f = gf_inv(d)
@@ -153,7 +148,7 @@ def _suite_gf_des():
     for text in ["A5", "B4", "D5", "I2(8)", "F4", "H3"]:
         d = parse_descriptor(text)
         got = gf_des(d).coefficients
-        want = _walk_tally(d.factors[0], "des")
+        want = statistics_tally(build_root_system(d.factors[0]), "des")
         yield _eq(f"gf-des: {text} row matches the reflection walk",
                   got, want)
     for text in ["A101", "B100", "D101"]:
@@ -178,7 +173,8 @@ def _suite_gf_des():
     for text in ["A5", "B4", "D5", "F4", "H3"]:
         label = parse_descriptor(text).factors[0]
         yield _eq(f"gf-des: {text} des+ides matches the reflection walk",
-                  _des_plus_ides_row(label), _walk_tally(label, "des_plus_ides"))
+                  _des_plus_ides_row(label),
+                  statistics_tally(build_root_system(label), "des_plus_ides"))
 
 
 def _suite_moments():
@@ -232,22 +228,19 @@ def _suite_roots():
                      sum(q / (1 + q) ** 2 for q in bag.values), float(var), 1e-8)
 
 
-def _subgroup_order(label, subset):
-    """Order of the standard parabolic subgroup of one factor generated by
-    the simple positions in subset: the product over the connected
-    components of subset in coxeter_edges, each named by its diagram."""
-    edges = [e for e in coxeter_edges(label) if e[0] in subset and e[1] in subset]
-    nbrs = {v: {b if a == v else a for a, b, _ in edges if v in (a, b)} for v in subset}
-    order, left = 1, set(subset)
-    while left:
-        part, stack = set(), [left.pop()]
-        while stack:
-            v = stack.pop()
-            part.add(v)
-            stack += nbrs[v] & left
-            left -= nbrs[v]
+def _subgroup_orders(label):
+    """subset -> order of the parabolic subgroup of one factor generated by
+    the simple positions in subset: the product over the components of
+    subset in coxeter_edges, each named once by its diagram."""
+    edges = coxeter_edges(label)
+    adjacent = {v: {b if a == v else a for a, b, _ in edges if v in (a, b)}
+                for v in range(label.rank)}
+
+    @cache
+    def component_order(part):
+        nbrs = {v: adjacent[v] & part for v in part}
         k = len(part)
-        m, a, b = max(((m, a, b) for a, b, m in edges if a in part), default=(3, 0, 0))
+        m, a, b = max(((m, a, b) for a, b, m in edges if {a, b} <= part), default=(3, 0, 0))
         branch = [v for v in part if len(nbrs[v]) == 3]
         if m == 4:
             f = irreducible("F", 4) if len(nbrs[a]) == len(nbrs[b]) == 2 else irreducible("B", k)
@@ -259,8 +252,20 @@ def _subgroup_order(label, subset):
             f = irreducible("D" if leaves >= 2 else "E", k)
         else:
             f = irreducible("A", k)
-        order *= group_order(f)
-    return order
+        return group_order(f)
+
+    def subgroup_order(subset):
+        order, left = 1, set(subset)
+        while left:
+            part, new = set(), {left.pop()}
+            while new:
+                part |= new
+                new = {u for v in new for u in adjacent[v] & left}
+                left -= new
+            order *= component_order(frozenset(part))
+        return order
+
+    return subgroup_order
 
 
 def _parabolic_des_row(label):
@@ -269,9 +274,10 @@ def _parabolic_des_row(label):
     elements have no right descent in J (Bjorner-Brenti, Combinatorics
     of Coxeter Groups, 2.4), and each w is counted by every K >= D_R(w)."""
     n, order = label.rank, group_order(label)
+    subgroup_order = _subgroup_orders(label)
     row = [0] * (n + 1)
     for size in range(n + 1):
-        count = sum(order // _subgroup_order(label, set(range(n)) - set(K))
+        count = sum(order // subgroup_order(set(range(n)) - set(K))
                     for K in itertools.combinations(range(n), size))
         for i in range(n - size + 1):
             row[size + i] += (-1) ** i * math.comb(n - size, i) * count
@@ -281,8 +287,6 @@ def _parabolic_des_row(label):
 def _orbit_total(label):
     """Double cosets W_s \\ W / W_t summed over ordered simple pairs; with
     W_s = {1, s} and W_t = {1, t}, the one through w is {w, sw, wt, swt}."""
-    from .rootsys import build_root_system, compose_actions, element_actions, simple_action
-
     rs = build_root_system(label)
     elements = list(element_actions(rs))
     simple = [simple_action(rs, s) for s in range(label.rank)]
@@ -302,13 +306,14 @@ def _orbit_total(label):
 def _suite_cosets():
     for family, length, text in [("A", 5, "A4"), ("B", 3, "B3")]:
         label = parse_descriptor(text).factors[0]
+        subgroup_order = _subgroup_orders(label)
         positions = range(1, length) if family == "A" else range(length)
         descents = [set(descent_positions(w, family))
                     for w in iter_windows(family, length)]
         # window position p is simple position length - 1 - p (B's sign change last)
         bad = [J for r in range(len(positions) + 1)
                for J in itertools.combinations(positions, r)
-               if _subgroup_order(label, {length - 1 - p for p in J})
+               if subgroup_order({length - 1 - p for p in J})
                * sum(1 for des in descents if des.isdisjoint(J)) != group_order(label)]
         yield (f"cosets: {text} satisfies |W| = |W_J| |D_J| for every J",
                not bad, f"J in {bad} break the factorization")
@@ -381,7 +386,7 @@ def _suite_interp():
     ds = builtin_dataset("des", sizes=range(2, 7), keyed_by="rank")
     rows = summarize(ds)
     points = [(row.n, row.variance) for row in rows]
-    formulas = lagrange_guess(points, target="variance")
+    formulas = lagrange_guess(points)
     yield _eq("interp: descent variance recovery from built-in data",
               [str(f) for f in formulas], ["(n + 2)/12"])
     ds = StatisticDataset("inv", {n: gf_inv(parse_descriptor(f"A{n - 1}")).coefficients
@@ -407,7 +412,7 @@ def _suite_quick():
     d = parse_descriptor("B3")
     got = gf_des(d).coefficients
     yield _eq("quick: gf-des B3 matches the reflection walk",
-              got, _walk_tally(d.factors[0], "des"))
+              got, statistics_tally(build_root_system(d.factors[0]), "des"))
     d = parse_descriptor("A4")
     s = moments_from_polynomial(gf_inv(d), k_max=2)
     yield _eq("quick: A4 Mahonian closed forms match the polynomial",

@@ -456,11 +456,11 @@ def test_acceptance_12_summaries_and_recoveries(capfd):
     for statistic, sizes, target, want in recoveries:
         data = builtin_dataset(statistic, sizes=sizes, keyed_by="rank")
         points = [(row.n, getattr(row, target)) for row in summarize(data)]
-        formulas = lagrange_guess(points, target=target)
+        formulas = lagrange_guess(points)
         if [str(f) for f in formulas] != [want]:
             bad.append(f"{statistic}: {[str(f) for f in formulas]}")
     points = [(n, Fraction(2 * (n - 2), n - 1)) for n in range(2, 9)]
-    formulas = lagrange_guess(points, target="mean")
+    formulas = lagrange_guess(points)
     if [str(f) for f in formulas] != ["(2*n - 4)/(n - 1)"]:
         bad.append(f"generated rational data: {[str(f) for f in formulas]}")
     ok = not bad

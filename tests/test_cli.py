@@ -615,6 +615,22 @@ def test_verify_full_suite_passes(capsys):
     assert out == oracles.VERIFY_PINS["full"].read_text(encoding="utf-8")
 
 
+_NO_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from coxstat.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_verify_full_suite_runs_without_numpy(tmp_path):
+    # with numpy unimportable, the walks of the suite still run
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, "verify", "--suite", "full"],
+                          env=_cli_env(tmp_path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == oracles.VERIFY_PINS["full"].read_text(encoding="utf-8")
+
+
 def test_verify_takes_no_seed(capsys):
     rc, out, err = run(capsys, "verify", "--suite", "quick", "--seed", "0")
     assert rc == 2
@@ -682,8 +698,9 @@ def test_gf_round_trips_through_ingest(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold start: commands that do not walk never import numpy or rootsys,
-# and each command leaves the coxstat modules it does not use unloaded
+# cold start: no command imports numpy, commands that do not walk never
+# import rootsys, and each command leaves the coxstat modules it does not
+# use unloaded
 
 _COLD = (
     "import sys\n"
@@ -698,14 +715,18 @@ _NOT_GF = ("coxstat.limits", "coxstat.interplab", "coxstat.elements")
 # the records are namedtuples: no coxstat module loads dataclasses (and
 # with it inspect)
 _RECORDS = ("dataclasses", "inspect")
+_NO_WALK = ("coxstat.rootsys",)
 _UNUSED = {
-    "gf": _NOT_GF + _RECORDS,
-    "moments": _NOT_GF + _RECORDS,
-    "--help": _NOT_GF + _RECORDS,
-    "llt": ("coxstat.interplab", "coxstat.elements") + _RECORDS,
-    "clt": ("coxstat.interplab", "coxstat.elements") + _RECORDS,
-    "interp": ("coxstat.limits",) + _RECORDS,
-    "enumerate": ("coxstat.limits", "coxstat.interplab") + _RECORDS,
+    "gf": _NO_WALK + _NOT_GF + _RECORDS,
+    "moments": _NO_WALK + _NOT_GF + _RECORDS,
+    "--help": _NO_WALK + _NOT_GF + _RECORDS,
+    "llt": _NO_WALK + ("coxstat.interplab", "coxstat.elements") + _RECORDS,
+    "clt": _NO_WALK + ("coxstat.interplab", "coxstat.elements") + _RECORDS,
+    "interp": _NO_WALK + ("coxstat.limits",) + _RECORDS,
+    "enumerate A4": _NO_WALK + ("coxstat.limits", "coxstat.interplab") + _RECORDS,
+    # E6 is walked
+    "enumerate E6": ("coxstat.limits", "coxstat.interplab") + _RECORDS,
+    "verify": _RECORDS,
 }
 
 
@@ -742,9 +763,13 @@ def filled_cache(tmp_path_factory):
     ["interp", "--input", "{cache}/des.json", "--format", "values_json"],
     ["enumerate", "--group", "A4", "--limit", "10"],
     ["--help"],
+    # these two walk
+    ["enumerate", "--group", "E6", "--limit", "5"],
+    ["verify", "--suite", "quick"],
 ], ids=" ".join)
 def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
-    unused = ",".join(("numpy", "coxstat.rootsys") + _UNUSED[argv[0]])
+    command = f"enumerate {argv[2]}" if argv[0] == "enumerate" else argv[0]
+    unused = ",".join(("numpy",) + _UNUSED[command])
     argv = [a.replace("{cache}", str(filled_cache)) for a in argv]
     proc = subprocess.run([sys.executable, "-c", _COLD, unused, *argv],
                           env=_cli_env(filled_cache), capture_output=True, text=True)
@@ -753,13 +778,14 @@ def test_command_without_walk_does_not_import_numpy(filled_cache, argv):
 
 
 def test_modules_without_the_walk_do_not_import_dataclasses(tmp_path):
-    # the walk module included
+    # the walk module included, and no module loads numpy either
     names = [f"coxstat.{m}" for m in sorted(coxstat._SUBMODULES)]
     code = (
         "import importlib, sys\n"
         f"for name in {names!r}:\n"
         "    importlib.import_module(name)\n"
         "assert 'dataclasses' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(tmp_path),
                           capture_output=True, text=True)

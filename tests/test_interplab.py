@@ -252,8 +252,6 @@ class TestLagrangeGuess:
             lagrange_guess(pts[:3])
         with pytest.raises(ValueError, match="distinct"):
             lagrange_guess(pts + [(0, Fraction(5))])
-        with pytest.raises(ValueError, match="target"):
-            lagrange_guess(pts, target="mode")
 
     def test_rejects_non_integral_n(self):
         points = [(Fraction(5, 2), 1), (3, Fraction(5, 12)), (4, Fraction(1, 2)),

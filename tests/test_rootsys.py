@@ -124,11 +124,8 @@ def test_dihedral_closed_form_action():
         assert rs.root_count == m
         # root angles: simple roots alpha_0 at angle 0, alpha_1 at pi - pi/m;
         # express each closure root in float coordinates and match indices
-        import numpy as np
-
-        a0 = np.array([1.0, 0.0])
         ang1 = math.pi - math.pi / m
-        a1 = np.array([math.cos(ang1), math.sin(ang1)])
+        a1 = (math.cos(ang1), math.sin(ang1))
 
         # each coordinate is k power-basis coefficients of 2cos(pi/m):
         # alpha_0's in the first k entries of a root, alpha_1's in the next k
@@ -142,11 +139,12 @@ def test_dihedral_closed_form_action():
         for coords in rs.positive_roots:
             assert len(coords) == 2 * k
             assert all(type(c) is int for c in coords)
-            floats.append(val(coords[:k]) * a0 + val(coords[k:]) * a1)
+            c0, c1 = val(coords[:k]), val(coords[k:])
+            floats.append((c0 + c1 * a1[0], c1 * a1[1]))
         # all unit length, pairwise distinct angles in [0, pi)
         angles = sorted(math.atan2(v[1], v[0]) % math.pi for v in floats)
         for v in floats:
-            assert abs(v @ v - 1) < 1e-9
+            assert abs(v[0] ** 2 + v[1] ** 2 - 1) < 1e-9
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         assert all(abs(g - math.pi / m) < 1e-9 for g in gaps)
 
